@@ -65,7 +65,7 @@ impl ReceivedClass {
 }
 
 /// Every sent-item pattern: `(item, pattern, case_insensitive)`, in the
-/// order the pre-overhaul classifier checked them. Both the one-pass
+/// order the pre-overhaul classifier checked them. Both the
 /// [`RegexSet`] and the per-regex reference path compile from this table,
 /// so they cannot drift apart.
 const SENT_SPECS: &[(SentItem, &str, bool)] = &[
@@ -127,9 +127,10 @@ const SENT_SPECS: &[(SentItem, &str, bool)] = &[
 
 /// The compiled pattern library.
 pub struct PiiLibrary {
-    /// One-pass matcher over every sent-item pattern (in [`SENT_SPECS`]
-    /// order): each message is scanned once and the full membership set
-    /// comes back, instead of one Pike-VM walk per pattern.
+    /// Every sent-item pattern (in [`SENT_SPECS`] order): each pattern is
+    /// gated by its own literal prefilter and runs on its own lazy DFA,
+    /// so a message costs substring scans plus the few patterns that
+    /// survive them.
     sent_set: RegexSet,
     /// The same patterns compiled individually — the pre-overhaul shape,
     /// kept as the reference path for differential tests and benches.
@@ -181,14 +182,17 @@ impl PiiLibrary {
     /// pattern matches. Newlines separate handshake headers, so patterns
     /// stay line-local where it matters.
     ///
-    /// Runs as one [`RegexSet`] pass; agrees with
+    /// Runs on the [`RegexSet`]; agrees with
     /// [`PiiLibrary::classify_sent_text_reference`] on every input.
     pub fn classify_sent_text(&self, text: &str) -> BTreeSet<SentItem> {
-        self.sent_set
-            .matches(text)
-            .iter()
-            .map(|i| SENT_SPECS[i].0)
-            .collect()
+        self.sent_items_in(text).collect()
+    }
+
+    /// The items [`PiiLibrary::classify_sent_text`] returns, each once and
+    /// without collecting them: the allocation-free form for callers that
+    /// only count.
+    pub fn sent_items_in(&self, text: &str) -> impl Iterator<Item = SentItem> {
+        self.sent_set.matches(text).iter().map(|i| SENT_SPECS[i].0)
     }
 
     /// Reference classification: one independent Pike-VM scan per pattern,
@@ -256,11 +260,12 @@ impl PiiLibrary {
         }
     }
 
-    /// Aggregated lazy-DFA cache counters across the library's single
-    /// regexes (the received-side classifiers). Feeds the
+    /// Aggregated lazy-DFA cache counters across the library: every
+    /// sent-item pattern plus the received-side classifiers. Feeds the
     /// `BENCH_pipeline.json` `matcher_cache` section.
     pub fn cache_stats(&self) -> DfaStats {
-        let mut stats = self.html.cache_stats();
+        let mut stats = self.sent_set.cache_stats();
+        stats.merge(&self.html.cache_stats());
         stats.merge(&self.javascript.cache_stats());
         stats.merge(&self.ad_image_url.cache_stats());
         stats
@@ -431,10 +436,10 @@ mod tests {
         assert!(lib.classify_sent(b"heartbeat 1234").is_empty());
     }
 
-    /// The one-pass set and the per-regex reference must agree on every
+    /// The `RegexSet` path and the per-regex reference must agree on every
     /// payload shape the synthetic trackers can emit.
     #[test]
-    fn one_pass_classification_equals_reference() {
+    fn set_classification_equals_reference() {
         let lib = lib();
         let ctx = ValueContext::deterministic(77);
         let mut corpus: Vec<String> = vec![
@@ -458,7 +463,7 @@ mod tests {
             assert_eq!(
                 lib.classify_sent_text(text),
                 lib.classify_sent_text_reference(text),
-                "one-pass vs reference diverged on {text:?}"
+                "set vs reference diverged on {text:?}"
             );
         }
     }

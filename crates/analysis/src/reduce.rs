@@ -543,14 +543,15 @@ impl CrawlReduction {
                     // plus the UA that rides every request's headers.
                     // Query-less URLs cannot carry key=value items; skip
                     // the 14-pattern scan for them (the common case).
-                    let mut items = if node.url.contains('=') {
-                        lib.classify_sent_text(&node.url)
-                    } else {
-                        Default::default()
-                    };
-                    items.insert(SentItem::UserAgent);
-                    for item in items {
-                        agg.sent_counts[item.index()] += 1;
+                    let mut user_agent = false;
+                    if node.url.contains('=') {
+                        for item in lib.sent_items_in(&node.url) {
+                            user_agent |= item == SentItem::UserAgent;
+                            agg.sent_counts[item.index()] += 1;
+                        }
+                    }
+                    if !user_agent {
+                        agg.sent_counts[SentItem::UserAgent.index()] += 1;
                     }
                     // Received class: script fetches return JavaScript by
                     // construction (the paper classifies by body/MIME);

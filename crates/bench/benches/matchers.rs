@@ -1,8 +1,9 @@
 //! Perf bench P6: the two matcher hot paths against their retained
 //! reference engines, on a seeded corpus.
 //!
-//! * `pii_classify` — one-pass `RegexSet` classification vs the per-regex
-//!   Pike-VM scan over the same 14-pattern library.
+//! * `pii_classify` — `RegexSet` classification (each pattern's prefilter,
+//!   then its lazy DFA) vs the per-regex Pike-VM scan over the same
+//!   14-pattern library.
 //! * `filter_decide` — token-indexed candidate evaluation vs the linear
 //!   every-generic-rule scan over the generated EasyList/EasyPrivacy.
 //!
@@ -102,7 +103,7 @@ fn bench_pii_classify(c: &mut Criterion) {
     }
     let mut group = c.benchmark_group("pii_classify");
     group.throughput(Throughput::Elements(corpus.len() as u64));
-    group.bench_function("one_pass", |b| {
+    group.bench_function("set", |b| {
         b.iter(|| {
             let mut items = 0usize;
             for msg in &corpus {

@@ -12,8 +12,9 @@
 //! races the two matcher hot paths against their retained reference
 //! engines on a corpus extracted from the crawl itself:
 //!
-//! * **classify** — one-pass `RegexSet` PII classification vs the
-//!   per-regex Pike-VM scan ([`PiiLibrary::classify_sent_text_reference`]);
+//! * **classify** — `RegexSet` PII classification (per-pattern prefilter,
+//!   then that pattern's lazy DFA) vs the per-regex Pike-VM scan
+//!   ([`PiiLibrary::classify_sent_text_reference`]);
 //! * **decide** — token-indexed filter evaluation vs the linear
 //!   every-generic-rule scan ([`Engine::evaluate_reference`]).
 //!
@@ -242,7 +243,7 @@ struct Memory {
 
 #[derive(Debug, Serialize, Deserialize)]
 struct Throughput {
-    /// Classified payload messages per second (one-pass path).
+    /// Classified payload messages per second (`RegexSet` path).
     messages_per_s: f64,
     /// Filter decisions per second (token-indexed path).
     urls_per_s: f64,
@@ -260,6 +261,8 @@ struct Matchers {
 struct Classify {
     /// Corpus size (handshakes + text frames + query-bearing URLs).
     messages: usize,
+    /// Seconds on the `RegexSet` path (the key predates its per-pattern
+    /// DFAs, when the set was one combined pass).
     one_pass_s: f64,
     per_regex_s: f64,
     /// `per_regex_s / one_pass_s`.
@@ -542,11 +545,11 @@ fn run() {
         memory.peak_ratio
     );
 
-    // Matcher race 1: one-pass PII classification vs per-regex reference.
+    // Matcher race 1: `RegexSet` PII classification vs per-regex reference.
     let t = Instant::now();
-    let mut items_one_pass = 0u64;
+    let mut items_set = 0u64;
     for msg in &corpus.messages {
-        items_one_pass += lib.classify_sent_text(msg).len() as u64;
+        items_set += lib.classify_sent_text(msg).len() as u64;
     }
     let one_pass_s = t.elapsed().as_secs_f64();
     let t = Instant::now();
@@ -556,8 +559,8 @@ fn run() {
     }
     let per_regex_s = t.elapsed().as_secs_f64();
     assert_eq!(
-        items_one_pass, items_per_regex,
-        "one-pass and per-regex classification disagree"
+        items_set, items_per_regex,
+        "set and per-regex classification disagree"
     );
 
     // Matcher race 2: token-indexed filter decide vs linear reference.
@@ -661,7 +664,7 @@ fn run() {
                 one_pass_s,
                 per_regex_s,
                 speedup: per_regex_s / one_pass_s.max(1e-9),
-                items: items_one_pass,
+                items: items_set,
             },
             decide: Decide {
                 urls: parsed.len(),
@@ -695,7 +698,7 @@ fn run() {
     let json = serde_json::to_string(&report).expect("report serializes");
     std::fs::write(DEFAULT_PATH, &json).expect("write BENCH_pipeline.json");
     eprintln!(
-        "[sockscope] classify: {} msgs, one-pass {:.2}s vs per-regex {:.2}s ({:.1}x)",
+        "[sockscope] classify: {} msgs, set {:.2}s vs per-regex {:.2}s ({:.1}x)",
         report.matchers.classify.messages,
         report.matchers.classify.one_pass_s,
         report.matchers.classify.per_regex_s,

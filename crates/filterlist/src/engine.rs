@@ -1,8 +1,12 @@
 //! The filter-matching engine.
 
 use crate::rule::{Anchor, ParsedLine, ResourceType, Rule, RuleError};
-use sockscope_urlkit::{second_level_domain, Url};
+use sockscope_urlkit::psl::shared_registrable_domain;
+use sockscope_urlkit::Url;
+use std::cell::Cell;
 use std::collections::HashMap;
+use std::fmt::Write as _;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A request being evaluated against the lists.
 #[derive(Debug, Clone)]
@@ -52,8 +56,9 @@ pub struct Engine {
     generic: Vec<usize>,
     /// Generic rules keyed by one *complete* token of their pattern
     /// (adblock-style): a rule is only a candidate for URLs that contain
-    /// that token as a maximal `[a-z0-9]` run. See [`choose_token`].
-    token_index: HashMap<u64, Vec<usize>>,
+    /// that token as a maximal `[a-z0-9]` run. See [`choose_token`]. The
+    /// keys already are FNV-1a hashes, so the map does not hash them again.
+    token_index: HashMap<u64, Vec<usize>, BuildHasherDefault<IdentityHasher>>,
     /// Generic rules with no usable token; scanned for every request.
     untokenized: Vec<usize>,
 }
@@ -108,20 +113,12 @@ impl Engine {
     /// Adds one rule.
     pub fn push_rule(&mut self, rule: Rule) {
         let idx = self.rules.len();
-        // Index key: for `||domain…` rules, the domain part up to the first
-        // separator/slash.
         if rule.anchor == Anchor::Domain {
-            if let Some(first) = rule.parts.first() {
-                let key: String = first
-                    .chars()
-                    .take_while(|&c| c.is_ascii_alphanumeric() || c == '.' || c == '-' || c == '_')
-                    .collect();
-                if !key.is_empty() {
-                    let sld = second_level_domain(&key).to_string();
-                    self.rules.push(rule);
-                    self.domain_index.entry(sld).or_default().push(idx);
-                    return;
-                }
+            if let Some(key) = rule.parts.first().and_then(|first| domain_key(first)) {
+                let key = key.to_string();
+                self.rules.push(rule);
+                self.domain_index.entry(key).or_default().push(idx);
+                return;
             }
         }
         match choose_token(&rule) {
@@ -169,44 +166,33 @@ impl Engine {
     /// scan (domain hits, then generic in rule order), and the index is
     /// sound (a matching rule's token always occurs in the URL), so the
     /// decision — including the winning rule index — is identical to
-    /// [`Engine::evaluate_reference`] on every request.
+    /// [`Engine::evaluate_reference`] on every request. The URL text and
+    /// candidate buffers are per-thread and reused, so a decision
+    /// allocates nothing once they have grown.
     pub fn evaluate(&self, ctx: &RequestContext<'_>) -> Decision {
-        let url_text = ctx.url.to_string().to_ascii_lowercase();
-        let mut block: Option<usize> = None;
-        let mut candidates: Vec<usize> = Vec::new();
-        if let Some(sld) = ctx.url.second_level_domain() {
-            if let Some(v) = self.domain_index.get(sld) {
+        let mut scratch = SCRATCH.with(Cell::take).unwrap_or_default();
+        let Scratch {
+            url_text,
+            candidates,
+        } = &mut scratch;
+        write_url_text(ctx.url, url_text);
+        candidates.clear();
+        candidates.extend_from_slice(self.domain_candidates(ctx.url));
+        let domain_hits = candidates.len();
+        for_each_url_token(url_text, |hash| {
+            if let Some(v) = self.token_index.get(&hash) {
                 candidates.extend_from_slice(v);
             }
-        }
-        let domain_hits = candidates.len();
-        if !self.token_index.is_empty() {
-            for_each_url_token(&url_text, |hash| {
-                if let Some(v) = self.token_index.get(&hash) {
-                    candidates.extend_from_slice(v);
-                }
-            });
-        }
+        });
         candidates.extend_from_slice(&self.untokenized);
         // Restore rule order among the generic candidates so "first match
-        // wins" picks the same rule the linear scan would.
+        // wins" picks the same rule the linear scan would; a token that
+        // repeats in the URL adds its bucket twice.
         candidates[domain_hits..].sort_unstable();
-        for &i in &candidates {
-            let rule = &self.rules[i];
-            if !rule_applies(rule, ctx) {
-                continue;
-            }
-            if pattern_matches(rule, &url_text, ctx.url) {
-                if rule.exception {
-                    return Decision::Allow(i);
-                }
-                block.get_or_insert(i);
-            }
-        }
-        match block {
-            Some(i) => Decision::Block(i),
-            None => Decision::None,
-        }
+        candidates.dedup();
+        let decision = self.decide(ctx, url_text, candidates);
+        SCRATCH.with(|s| s.set(Some(scratch)));
+        decision
     }
 
     /// Reference evaluation: the pre-token-index shape, scanning every
@@ -214,21 +200,31 @@ impl Engine {
     /// `matchers` micro-bench; must agree with [`Engine::evaluate`] on
     /// every request (including the winning rule index).
     pub fn evaluate_reference(&self, ctx: &RequestContext<'_>) -> Decision {
-        let url_text = ctx.url.to_string().to_ascii_lowercase();
-        let mut block: Option<usize> = None;
-        let mut candidates: Vec<usize> = Vec::new();
-        if let Some(sld) = ctx.url.second_level_domain() {
-            if let Some(v) = self.domain_index.get(sld) {
-                candidates.extend_from_slice(v);
-            }
-        }
+        let mut url_text = String::new();
+        write_url_text(ctx.url, &mut url_text);
+        let mut candidates = self.domain_candidates(ctx.url).to_vec();
         candidates.extend_from_slice(&self.generic);
-        for &i in &candidates {
+        self.decide(ctx, &url_text, &candidates)
+    }
+
+    /// Domain-anchored rules indexed under the URL's registrable domain.
+    fn domain_candidates(&self, url: &Url) -> &[usize] {
+        url.second_level_domain()
+            .and_then(|sld| self.domain_index.get(sld))
+            .map_or(&[], Vec::as_slice)
+    }
+
+    /// Runs the full matcher over `candidates` in order: the first
+    /// matching exception wins outright, else the first matching block.
+    fn decide(&self, ctx: &RequestContext<'_>, url_text: &str, candidates: &[usize]) -> Decision {
+        let mut block: Option<usize> = None;
+        let mut third_party: Option<bool> = None;
+        for &i in candidates {
             let rule = &self.rules[i];
-            if !rule_applies(rule, ctx) {
+            if !rule_applies(rule, ctx, &mut third_party) {
                 continue;
             }
-            if pattern_matches(rule, &url_text, ctx.url) {
+            if pattern_matches(rule, url_text, ctx.url) {
                 if rule.exception {
                     return Decision::Allow(i);
                 }
@@ -245,6 +241,63 @@ impl Engine {
     pub fn blocks(&self, ctx: &RequestContext<'_>) -> bool {
         self.evaluate(ctx).is_blocked()
     }
+}
+
+/// Per-thread buffers [`Engine::evaluate`] reuses across requests.
+#[derive(Default)]
+struct Scratch {
+    url_text: String,
+    candidates: Vec<usize>,
+}
+
+thread_local! {
+    /// `Cell<Option<..>>` (take/put back) rather than `RefCell`: a panic
+    /// mid-decision just drops the buffers instead of poisoning the slot.
+    static SCRATCH: Cell<Option<Scratch>> = const { Cell::new(None) };
+}
+
+/// Writes the matcher's view of `url` into `out`: its serialization,
+/// ASCII-lowercased.
+fn write_url_text(url: &Url, out: &mut String) {
+    out.clear();
+    write!(out, "{url}").expect("writing to a String cannot fail");
+    out.make_ascii_lowercase();
+}
+
+/// Hasher for keys that already are well-mixed `u64` hashes: passes the
+/// key through.
+#[derive(Debug, Clone, Copy, Default)]
+struct IdentityHasher(u64);
+
+impl Hasher for IdentityHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Only `u64` keys are stored; fold anything else in FNV-1a style.
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
+}
+
+/// The domain-index key of a `||` rule, from its first part: the
+/// registrable domain shared by every host the rule can match. The
+/// part's leading host text must stop before the part does (else it may
+/// be the head of a longer label) and must name one registrable domain
+/// for all hosts below it (not an IPv4 tail, not a public suffix). Rules
+/// without such a key go through the generic path, which is always
+/// sound.
+fn domain_key(first: &str) -> Option<&str> {
+    let host_len = first
+        .bytes()
+        .position(|b| !(b.is_ascii_alphanumeric() || matches!(b, b'.' | b'-' | b'_')))?;
+    shared_registrable_domain(&first[..host_len])
 }
 
 /// `true` for characters that make up an indexable token. The URL text is
@@ -337,26 +390,29 @@ fn choose_token(rule: &Rule) -> Option<&str> {
 }
 
 /// Checks the rule's option constraints against the request.
-fn rule_applies(rule: &Rule, ctx: &RequestContext<'_>) -> bool {
+/// `third_party` caches the request's third-party status, computed on
+/// first use.
+fn rule_applies(rule: &Rule, ctx: &RequestContext<'_>, third_party: &mut Option<bool>) -> bool {
     if let Some(types) = &rule.types {
         if !types.contains(&ctx.resource_type) {
             return false;
         }
     }
-    if let Some(third) = rule.third_party {
-        if ctx.is_third_party() != third {
+    if let Some(want) = rule.third_party {
+        if *third_party.get_or_insert_with(|| ctx.is_third_party()) != want {
             return false;
         }
     }
     if !rule.include_domains.is_empty() || !rule.exclude_domains.is_empty() {
-        let page_sld = ctx
-            .page
-            .second_level_domain()
-            .unwrap_or_default()
-            .to_string();
+        let page_sld = ctx.page.second_level_domain().unwrap_or_default();
         let page_host = ctx.page.host_str();
-        let hits =
-            |d: &String| *d == page_sld || *d == page_host || page_host.ends_with(&format!(".{d}"));
+        let hits = |d: &String| {
+            *d == page_sld
+                || *d == page_host
+                || page_host
+                    .strip_suffix(d.as_str())
+                    .is_some_and(|head| head.ends_with('.'))
+        };
         if !rule.include_domains.is_empty() && !rule.include_domains.iter().any(hits) {
             return false;
         }
@@ -367,63 +423,79 @@ fn rule_applies(rule: &Rule, ctx: &RequestContext<'_>) -> bool {
     true
 }
 
-/// ABP separator: anything that is not alphanumeric, `_`, `-`, `.`, `%`;
-/// also matches the end of the URL.
-fn is_separator(c: char) -> bool {
-    !(c.is_ascii_alphanumeric() || c == '_' || c == '-' || c == '.' || c == '%')
+/// ABP separator: anything that is not alphanumeric, `_`, `-`, `.`, `%`
+/// (every non-ASCII character is one); also matches the end of the URL.
+fn is_separator(c: u8) -> bool {
+    !(c.is_ascii_alphanumeric() || matches!(c, b'_' | b'-' | b'.' | b'%'))
 }
 
 /// Matches one literal part (which may contain `^` separators) against
 /// `text` starting exactly at `pos`. Returns the end position.
+///
+/// Byte-wise: a part and a text are both UTF-8, so comparing a literal
+/// character's bytes compares the character, and a `^` consumes one whole
+/// text character.
 fn match_part_at(part: &str, text: &str, pos: usize) -> Option<usize> {
-    let mut t = pos;
     let bytes = text.as_bytes();
-    let mut chars = part.chars().peekable();
-    while let Some(pc) = chars.next() {
-        if pc == '^' {
-            if t == text.len() {
-                // '^' may match the end of the URL, but only as the final
-                // pattern character.
-                return if chars.peek().is_none() {
-                    Some(t)
-                } else {
-                    None
-                };
+    let mut t = pos;
+    for (k, &pc) in part.as_bytes().iter().enumerate() {
+        let c = match bytes.get(t) {
+            Some(&c) => c,
+            // '^' may match the end of the URL, but only as the final
+            // pattern character.
+            None => return (pc == b'^' && k + 1 == part.len()).then_some(t),
+        };
+        if pc == b'^' {
+            if c.is_ascii() {
+                if !is_separator(c) {
+                    return None;
+                }
+                t += 1;
+            } else {
+                t += text[t..].chars().next()?.len_utf8();
             }
-            let c = text[t..].chars().next()?;
-            if !is_separator(c) {
-                return None;
-            }
-            t += c.len_utf8();
+        } else if c == pc {
+            t += 1;
         } else {
-            if t >= bytes.len() {
-                return None;
-            }
-            let c = text[t..].chars().next()?;
-            if c != pc {
-                return None;
-            }
-            t += c.len_utf8();
+            return None;
         }
     }
     Some(t)
 }
 
-/// Finds the first position ≥ `from` where `part` matches; returns end pos.
-fn find_part(part: &str, text: &str, from: usize) -> Option<(usize, usize)> {
+/// Finds the leftmost position ≥ `from` where `part` matches `text`;
+/// returns its `(start, end)`. `from` must be a char boundary.
+///
+/// Cost follows the part, not the text: a part without `^` is one
+/// substring search; a part with a literal head before its first `^` is
+/// a search for that head, verified at each hit. Only a part that begins
+/// with `^` is tried at every character position.
+pub fn find_part(part: &str, text: &str, from: usize) -> Option<(usize, usize)> {
     if part.is_empty() {
         return Some((from, from));
     }
+    let rest = text.get(from..)?;
+    let Some(sep) = part.find('^') else {
+        return rest.find(part).map(|i| (from + i, from + i + part.len()));
+    };
+    if sep == 0 {
+        let mut start = from;
+        loop {
+            if let Some(end) = match_part_at(part, text, start) {
+                return Some((start, end));
+            }
+            start += text[start..].chars().next()?.len_utf8();
+        }
+    }
+    let head = &part[..sep];
+    let step = head.chars().next().map_or(1, char::len_utf8);
     let mut start = from;
-    while start <= text.len() {
-        if let Some(end) = match_part_at(part, text, start) {
-            return Some((start, end));
+    while let Some(i) = text[start..].find(head) {
+        let at = start + i;
+        if let Some(end) = match_part_at(part, text, at) {
+            return Some((at, end));
         }
-        // Advance one char.
-        match text[start..].chars().next() {
-            Some(c) => start += c.len_utf8(),
-            None => break,
-        }
+        start = at + step;
     }
     None
 }
@@ -433,18 +505,12 @@ fn pattern_matches(rule: &Rule, url_text: &str, url: &Url) -> bool {
     match rule.anchor {
         Anchor::Domain => {
             // `||pattern` matches starting at the host or any subdomain
-            // boundary within the host.
-            let host = url.host_str().to_ascii_lowercase();
-            let scheme_len = url_text.find("://").map(|i| i + 3).unwrap_or(0);
-            let mut offsets = vec![scheme_len];
-            for (i, b) in host.bytes().enumerate() {
-                if b == b'.' {
-                    offsets.push(scheme_len + i + 1);
-                }
-            }
-            offsets
-                .into_iter()
-                .any(|off| match_parts_from(rule, url_text, off, true))
+            // boundary within the host. Hosts are lower-case once parsed.
+            let host_at = url.scheme().as_str().len() + "://".len();
+            let labels = url.host_str().match_indices('.').map(|(dot, _)| dot + 1);
+            std::iter::once(0)
+                .chain(labels)
+                .any(|off| match_parts_from(rule, url_text, host_at + off, true))
         }
         Anchor::Start => match_parts_from(rule, url_text, 0, true),
         Anchor::None => {
@@ -598,6 +664,13 @@ mod tests {
         let blog = url("http://blog.example/");
         assert!(e.blocks(&ctx(&u, &news, ResourceType::Script)));
         assert!(!e.blocks(&ctx(&u, &blog, ResourceType::Script)));
+        // Below the registrable domain, a listed host matches itself and
+        // its subdomains, never a longer label that merely ends in it.
+        let e = engine("||cdn.example/ads/$domain=blog.pub.example");
+        let sub = url("http://www.blog.pub.example/");
+        let lookalike = url("http://myblog.pub.example/");
+        assert!(e.blocks(&ctx(&u, &sub, ResourceType::Script)));
+        assert!(!e.blocks(&ctx(&u, &lookalike, ResourceType::Script)));
     }
 
     #[test]
@@ -728,6 +801,45 @@ $websocket,domain=pub.example
         let stats = e.index_stats();
         assert_eq!(stats.tokenized, 0, "{stats:?}");
         assert_eq!(stats.untokenized, 1, "{stats:?}");
+    }
+
+    /// Asserts the rule blocks `u` through both evaluators.
+    fn assert_blocked_both_ways(e: &Engine, u: &str) {
+        let page = url("http://pub.example/");
+        let u = url(u);
+        let c = ctx(&u, &page, ResourceType::Script);
+        assert_eq!(e.evaluate(&c), Decision::Block(0), "{u}");
+        assert_eq!(e.evaluate_reference(&c), Decision::Block(0), "{u}");
+    }
+
+    #[test]
+    fn ipv4_domain_rule_matches_ipv4_hosts() {
+        // An IPv4 host has no registrable domain, so the rule cannot be
+        // found through the domain index.
+        let e = engine("||10.0.0.1^");
+        assert_blocked_both_ways(&e, "http://10.0.0.1/x.js");
+        assert_eq!(e.index_stats().domain_indexed, 0);
+        let page = url("http://pub.example/");
+        let other = url("http://10.0.0.11/x.js");
+        assert!(!e.blocks(&ctx(&other, &page, ResourceType::Script)));
+    }
+
+    #[test]
+    fn public_suffix_domain_rule_matches_every_registrable_domain_below() {
+        // `ads.co.uk` registers at itself, not at the rule's `co.uk`.
+        let e = engine("||co.uk^");
+        assert_blocked_both_ways(&e, "http://ads.co.uk/x.js");
+        assert_blocked_both_ways(&e, "http://www.shop.co.uk/x.js");
+        // Likewise a suffix that a longer public suffix extends.
+        let e = engine("||amazonaws.com^");
+        assert_blocked_both_ways(&e, "http://bucket.s3.amazonaws.com/x.js");
+        // A rule whose host text may stop mid-label.
+        let e = engine("||ads.exam*/x.js");
+        assert_blocked_both_ways(&e, "http://ads.example.com/x.js");
+        // Registrable-domain rules still go through the domain index.
+        let e = engine("||ads.example.co.uk^");
+        assert_eq!(e.index_stats().domain_indexed, 1);
+        assert_blocked_both_ways(&e, "http://x.ads.example.co.uk/x.js");
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //! * **A lazy DFA** — existence checks run on cached byte-class
 //!   transitions; the bounded state cache falls back to the Pike VM when
 //!   it overflows (see [`DfaStats`]).
-//! * **[`RegexSet`]** — one combined pass reports the full set of matching
-//!   patterns, which is how the PII library classifies each message.
+//! * **[`RegexSet`]** — reports the full set of matching patterns, each
+//!   pattern gated by its own prefilter and run on its own lazy DFA;
+//!   this is how the PII library classifies each message.
 //!
 //! The reference engine stays reachable via [`Regex::pikevm_is_match`] /
 //! [`Regex::pikevm_find`]; the differential fuzz target in the workspace

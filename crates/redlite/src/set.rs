@@ -1,28 +1,22 @@
 //! `RegexSet`-style multi-pattern matching.
 //!
 //! The PII classifier asks the same question of every message: *which* of
-//! N patterns match? Running N independent scans walks the haystack N
-//! times. This module compiles all patterns into one combined Thompson
-//! program whose `Match` instructions are tagged with their pattern index,
-//! then runs a single Pike-VM pass that reports the full set of matching
-//! patterns.
+//! N patterns match? Each pattern is a full [`Regex`], so a set query is
+//! N existence checks, each on that pattern's own fast path:
 //!
-//! Two properties keep the single pass cheap:
+//! * **Prefilter gating** — a pattern whose required literals are absent
+//!   from the haystack is rejected by substring scans alone. On typical
+//!   telemetry messages and URLs this leaves zero to two live patterns
+//!   per query.
+//! * **Per-pattern lazy DFA** — a gated-in pattern runs on its own cached
+//!   DFA, whose transitions are warm after the first few messages, and
+//!   which skips ahead to the pattern's prefix literal whenever no thread
+//!   is in flight. Small per-pattern DFAs stay far below the state cap
+//!   that a combined automaton over all patterns would strain.
 //!
-//! * **Prefilter gating** — each pattern carries its own required-literal
-//!   set ([`crate::literal`]); patterns whose literals are absent from the
-//!   haystack are never seeded at all. On typical telemetry messages this
-//!   leaves zero to two live patterns per scan.
-//! * **Early exit** — once every gated-in pattern has matched, the scan
-//!   stops; there is nothing left to learn.
-//!
-//! The set answers existence per pattern (no spans), so threads carry no
-//! start offsets and the thread set is a plain instruction set.
+//! The set answers existence per pattern (no spans) as one `u64` bitmask.
 
-use crate::ast;
-use crate::literal::Prefilter;
-use crate::nfa::{self, Inst, Program};
-use crate::Error;
+use crate::{DfaStats, Error, Regex};
 
 /// Hard cap so membership fits in a single `u64` bitmask.
 const MAX_PATTERNS: usize = 64;
@@ -30,18 +24,7 @@ const MAX_PATTERNS: usize = 64;
 /// A compiled multi-pattern matcher.
 #[derive(Debug, Clone)]
 pub struct RegexSet {
-    /// Per-pattern programs, kept for the reference path.
-    progs: Vec<Program>,
-    /// All programs concatenated with rebased targets.
-    insts: Vec<Inst>,
-    /// Entry point of pattern `i` inside `insts`.
-    starts: Vec<usize>,
-    /// For `Match` instructions: which pattern accepted (`u16::MAX`
-    /// elsewhere).
-    owner: Vec<u16>,
-    prefilters: Vec<Prefilter>,
-    patterns: Vec<String>,
-    anchored: Vec<bool>,
+    regexes: Vec<Regex>,
 }
 
 /// Which patterns of a [`RegexSet`] matched one haystack.
@@ -63,7 +46,7 @@ impl SetMatches {
     }
 
     /// Iterates the indices of matching patterns in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = usize> {
         let mask = self.mask;
         (0..self.len).filter(move |i| mask & (1u64 << i) != 0)
     }
@@ -89,136 +72,52 @@ impl RegexSet {
     where
         I: IntoIterator<Item = (String, bool)>,
     {
-        let mut set = RegexSet {
-            progs: Vec::new(),
-            insts: Vec::new(),
-            starts: Vec::new(),
-            owner: Vec::new(),
-            prefilters: Vec::new(),
-            patterns: Vec::new(),
-            anchored: Vec::new(),
-        };
+        let mut regexes = Vec::new();
         for (pattern, ci) in specs {
-            let idx = set.progs.len();
-            if idx >= MAX_PATTERNS {
+            if regexes.len() >= MAX_PATTERNS {
                 return Err(Error::SetTooLarge);
             }
-            let tree = ast::parse(&pattern, ci)?;
-            let prog = nfa::compile(&tree);
-            let base = set.insts.len();
-            set.starts.push(base + prog.start);
-            for inst in &prog.insts {
-                let rebased = match inst {
-                    Inst::Class(c, nx) => Inst::Class(c.clone(), nx + base),
-                    Inst::AnyChar(nx) => Inst::AnyChar(nx + base),
-                    Inst::StartAnchor(nx) => Inst::StartAnchor(nx + base),
-                    Inst::EndAnchor(nx) => Inst::EndAnchor(nx + base),
-                    Inst::Split(a, b) => Inst::Split(a + base, b + base),
-                    Inst::Jmp(nx) => Inst::Jmp(nx + base),
-                    Inst::Match => Inst::Match,
-                };
-                set.owner.push(match inst {
-                    Inst::Match => idx as u16,
-                    _ => u16::MAX,
-                });
-                set.insts.push(rebased);
-            }
-            set.prefilters.push(Prefilter::from_ast(&tree, ci));
-            set.anchored.push(prog.anchored_start);
-            set.progs.push(prog);
-            set.patterns.push(pattern);
+            regexes.push(Regex::compile(&pattern, ci)?);
         }
-        Ok(set)
+        Ok(RegexSet { regexes })
     }
 
     /// Number of patterns in the set.
     pub fn len(&self) -> usize {
-        self.progs.len()
+        self.regexes.len()
     }
 
     /// `true` if the set holds no patterns.
     pub fn is_empty(&self) -> bool {
-        self.progs.is_empty()
+        self.regexes.is_empty()
     }
 
-    /// The original pattern strings, in index order.
-    pub fn patterns(&self) -> &[String] {
-        &self.patterns
-    }
-
-    /// One-pass membership test: which patterns match `haystack`.
+    /// Membership test: which patterns match `haystack`. Each pattern runs
+    /// [`Regex::is_match`] (prefilter, then its lazy DFA).
     pub fn matches(&self, haystack: &str) -> SetMatches {
-        let len = self.len();
-        // Gate: only patterns whose required literals occur can match.
-        let mut active = 0u64;
-        for (i, pf) in self.prefilters.iter().enumerate() {
-            if pf.admits(haystack, 0) {
-                active |= 1u64 << i;
-            }
-        }
-        if active == 0 {
-            return SetMatches { mask: 0, len };
-        }
-
-        let n = self.insts.len();
-        let mut matched = 0u64;
-        // The thread sets are reused across calls (and across sets) via a
-        // thread-local: `matches` sits on the per-message classification
-        // hot path, and two fresh allocations per call dominated the
-        // pipeline's allocator counts.
-        let (mut current, mut next) = SCRATCH
-            .with(|s| s.take())
-            .unwrap_or((ThreadSet::empty(), ThreadSet::empty()));
-        current.reset(n);
-        next.reset(n);
-        let hay_len = haystack.len();
-        let mut pos = 0usize;
-        let mut chars = haystack.chars();
-        loop {
-            // Seed every still-unmatched active pattern at this position
-            // (anchored patterns only at position 0).
-            let pending = active & !matched;
-            if pending == 0 {
-                break;
-            }
-            for i in 0..len {
-                if pending & (1u64 << i) != 0 && (pos == 0 || !self.anchored[i]) {
-                    self.add_thread(&mut current, self.starts[i], pos, hay_len, &mut matched);
-                }
-            }
-            let Some(ch) = chars.next() else { break };
-            let next_pos = pos + ch.len_utf8();
-            if current.list.is_empty() && active & !matched & self.unanchored_mask() == 0 {
-                // Nothing in flight and every pending pattern is anchored:
-                // no future seeds can help.
-                break;
-            }
-            next.clear();
-            for ti in 0..current.list.len() {
-                let ip = current.list[ti];
-                match &self.insts[ip] {
-                    Inst::Class(class, nx) if class.matches(ch) => {
-                        self.add_thread(&mut next, *nx, next_pos, hay_len, &mut matched);
-                    }
-                    Inst::AnyChar(nx) if ch != '\n' => {
-                        self.add_thread(&mut next, *nx, next_pos, hay_len, &mut matched);
-                    }
-                    _ => {}
-                }
-            }
-            std::mem::swap(&mut current, &mut next);
-            pos = next_pos;
-        }
-        SCRATCH.with(|s| s.set(Some((current, next))));
-        SetMatches { mask: matched, len }
+        self.mask_by(|re| re.is_match(haystack))
     }
 
-    /// Reference path: N independent Pike-VM scans. Exists so tests and
-    /// benches can compare the one-pass engine against the naive shape.
+    /// Reference path: N independent Pike-VM scans, no prefilter or DFA.
+    /// Exists so tests and benches can compare the fast path against the
+    /// naive shape.
     pub fn matches_reference(&self, haystack: &str) -> SetMatches {
+        self.mask_by(|re| re.pikevm_is_match(haystack))
+    }
+
+    /// Lazy-DFA cache counters summed over every pattern.
+    pub fn cache_stats(&self) -> DfaStats {
+        let mut stats = DfaStats::default();
+        for re in &self.regexes {
+            stats.merge(&re.cache_stats());
+        }
+        stats
+    }
+
+    fn mask_by(&self, mut hit: impl FnMut(&Regex) -> bool) -> SetMatches {
         let mut mask = 0u64;
-        for (i, prog) in self.progs.iter().enumerate() {
-            if crate::vm::is_match(prog, haystack) {
+        for (i, re) in self.regexes.iter().enumerate() {
+            if hit(re) {
                 mask |= 1u64 << i;
             }
         }
@@ -227,88 +126,6 @@ impl RegexSet {
             len: self.len(),
         }
     }
-
-    fn unanchored_mask(&self) -> u64 {
-        let mut mask = 0u64;
-        for (i, &a) in self.anchored.iter().enumerate() {
-            if !a {
-                mask |= 1u64 << i;
-            }
-        }
-        mask
-    }
-
-    /// Epsilon-closure insert into the thread set; `Match` instructions
-    /// record their owning pattern instead of joining the set.
-    fn add_thread(
-        &self,
-        set: &mut ThreadSet,
-        ip: usize,
-        pos: usize,
-        hay_len: usize,
-        matched: &mut u64,
-    ) {
-        if std::mem::replace(&mut set.marks[ip], true) {
-            return;
-        }
-        match &self.insts[ip] {
-            Inst::Jmp(nx) => self.add_thread(set, *nx, pos, hay_len, matched),
-            Inst::Split(a, b) => {
-                self.add_thread(set, *a, pos, hay_len, matched);
-                self.add_thread(set, *b, pos, hay_len, matched);
-            }
-            Inst::StartAnchor(nx) => {
-                if pos == 0 {
-                    self.add_thread(set, *nx, pos, hay_len, matched);
-                }
-            }
-            Inst::EndAnchor(nx) => {
-                if pos == hay_len {
-                    self.add_thread(set, *nx, pos, hay_len, matched);
-                }
-            }
-            Inst::Match => *matched |= 1u64 << self.owner[ip],
-            Inst::Class(..) | Inst::AnyChar(..) => set.list.push(ip),
-        }
-    }
-}
-
-/// Live threads at one position: instruction indices, deduplicated.
-struct ThreadSet {
-    list: Vec<usize>,
-    marks: Vec<bool>,
-}
-
-impl ThreadSet {
-    fn empty() -> ThreadSet {
-        ThreadSet {
-            list: Vec::new(),
-            marks: Vec::new(),
-        }
-    }
-
-    /// Clears the set and (re)sizes the dedup marks for a program of `n`
-    /// instructions. Mark capacity only ever grows, so a reused set
-    /// allocates at most until it has seen the largest program.
-    fn reset(&mut self, n: usize) {
-        self.list.clear();
-        self.marks.clear();
-        self.marks.resize(n, false);
-    }
-
-    fn clear(&mut self) {
-        self.list.clear();
-        self.marks.iter_mut().for_each(|m| *m = false);
-    }
-}
-
-thread_local! {
-    /// Scratch thread-set pair for [`RegexSet::matches`]. `Cell<Option<..>>`
-    /// (take/put-back) rather than `RefCell` so a re-entrant call — there
-    /// are none today, but panics mid-scan must not poison the slot —
-    /// simply falls back to fresh allocations.
-    static SCRATCH: std::cell::Cell<Option<(ThreadSet, ThreadSet)>> =
-        const { std::cell::Cell::new(None) };
 }
 
 #[cfg(test)]
@@ -330,7 +147,7 @@ mod tests {
     }
 
     #[test]
-    fn one_pass_agrees_with_reference() {
+    fn fast_path_agrees_with_reference() {
         let s = RegexSet::with_specs(vec![
             ("mozilla/\\d".to_string(), true),
             ("(^|[&?])ip=(\\d{1,3}\\.){3}\\d{1,3}".to_string(), false),

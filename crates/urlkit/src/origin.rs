@@ -91,6 +91,10 @@ impl fmt::Display for Origin {
 /// `true` when `resource` is third-party relative to the page at
 /// `first_party` — i.e. their second-level domains differ.
 ///
+/// Same semantics as [`Origin::same_site`], compared on the URLs directly
+/// so no host is cloned: this runs on every filter-list decision that
+/// consults `$third-party`.
+///
 /// ```
 /// use sockscope_urlkit::{Url, origin::is_third_party};
 /// let page = Url::parse("http://news.example.com/story").unwrap();
@@ -100,7 +104,13 @@ impl fmt::Display for Origin {
 /// assert!(is_third_party(&page, &cross));
 /// ```
 pub fn is_third_party(first_party: &Url, resource: &Url) -> bool {
-    !first_party.origin().same_site(&resource.origin())
+    match (
+        first_party.second_level_domain(),
+        resource.second_level_domain(),
+    ) {
+        (Some(a), Some(b)) => a != b,
+        _ => first_party.host() != resource.host(),
+    }
 }
 
 #[cfg(test)]

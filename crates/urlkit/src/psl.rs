@@ -126,38 +126,61 @@ pub fn is_public_suffix(domain: &str) -> bool {
 /// ```
 pub fn second_level_domain(host: &str) -> &str {
     let host = host.strip_suffix('.').unwrap_or(host);
-    // Collect label boundaries from the right.
-    let mut best: Option<&str> = None;
-    let mut idx = 0usize;
-    let mut starts: Vec<usize> = vec![0];
-    for (i, b) in host.bytes().enumerate() {
-        if b == b'.' {
-            starts.push(i + 1);
+    // Walk suffix candidates from longest to shortest, label by label in
+    // place; the registrable domain is one label above the longest
+    // matching public suffix.
+    let mut above: Option<usize> = None;
+    let mut start = 0;
+    loop {
+        if is_public_suffix(&host[start..]) {
+            // `above` is `None` when the whole host is a public suffix.
+            return above.map_or(host, |a| &host[a..]);
         }
-        idx = i;
-    }
-    let _ = idx;
-    // Walk suffix candidates from longest to shortest; the registrable
-    // domain is one label above the longest matching public suffix.
-    for (pos, &start) in starts.iter().enumerate() {
-        let suffix = &host[start..];
-        if is_public_suffix(suffix) {
-            if pos == 0 {
-                // The whole host is a public suffix.
-                return host;
+        match host[start..].find('.') {
+            Some(dot) => {
+                above = Some(start);
+                start += dot + 1;
             }
-            best = Some(&host[starts[pos - 1]..]);
-            break;
+            None => break,
         }
-    }
-    if let Some(b) = best {
-        return b;
     }
     // Unknown suffix: fall back to the last two labels.
-    if starts.len() >= 2 {
-        &host[starts[starts.len() - 2]..]
+    match host.rfind('.') {
+        Some(last) => host[..last].rfind('.').map_or(host, |d| &host[d + 1..]),
+        None => host,
+    }
+}
+
+/// The registrable domain shared by *every* host that ends in `suffix` at
+/// a label boundary (the host `suffix` itself, or `….suffix`), if there is
+/// one.
+///
+/// This is what a `||suffix^` filter rule may be indexed under. It is
+/// `None` when hosts below `suffix` register at different domains: a
+/// public suffix (`co.uk`), a single label, a suffix that a longer public
+/// suffix extends (`amazonaws.com` under `s3.amazonaws.com`), or a
+/// numeric last label, which IPv4 literals (no registrable domain) share.
+///
+/// ```
+/// use sockscope_urlkit::psl::shared_registrable_domain;
+/// assert_eq!(shared_registrable_domain("ads.example.co.uk"), Some("example.co.uk"));
+/// assert_eq!(shared_registrable_domain("co.uk"), None);
+/// assert_eq!(shared_registrable_domain("10.0.0.1"), None);
+/// ```
+pub fn shared_registrable_domain(suffix: &str) -> Option<&str> {
+    let last = suffix.rsplit('.').next().unwrap_or(suffix);
+    let numeric = last.bytes().all(|b| b.is_ascii_digit());
+    let extended = SINGLE_LABEL_SUFFIXES
+        .iter()
+        .chain(DOUBLE_LABEL_SUFFIXES)
+        .any(|ps| {
+            ps.strip_suffix(suffix)
+                .is_some_and(|head| head.ends_with('.'))
+        });
+    if numeric || !suffix.contains('.') || is_public_suffix(suffix) || extended {
+        None
     } else {
-        host
+        Some(second_level_domain(suffix))
     }
 }
 

@@ -149,10 +149,10 @@ fn fuzz_regex_set_agrees_with_per_pattern_scan() {
             .unwrap_or_else(|e| panic!("case {case}: set failed to build: {e}"));
         for _ in 0..6 {
             let hay = arbitrary_haystack(&mut rng);
-            let one_pass: Vec<usize> = set.matches(&hay).iter().collect();
+            let fast: Vec<usize> = set.matches(&hay).iter().collect();
             let reference: Vec<usize> = set.matches_reference(&hay).iter().collect();
             assert_eq!(
-                one_pass, reference,
+                fast, reference,
                 "case {case}: specs {specs:?} haystack {hay:?}"
             );
         }

@@ -172,6 +172,113 @@ proptest! {
     }
 }
 
+/// Labels that form public suffixes at every depth (`uk`, `co.uk`,
+/// `s3.amazonaws.com`), ordinary and unknown labels, and numeric labels
+/// (four of them make an IPv4 literal).
+const HOST_LABELS: &[&str] = &[
+    "a",
+    "www",
+    "example",
+    "co",
+    "uk",
+    "com",
+    "s3",
+    "amazonaws",
+    "github",
+    "io",
+    "zz",
+    "1",
+    "10",
+    "255",
+];
+
+/// Hosts of one to five [`HOST_LABELS`], or an IPv4 literal from a small
+/// pool (so equal and unequal pairs both occur), optionally with a
+/// trailing dot.
+fn host_strategy() -> impl Strategy<Value = String> {
+    (
+        proptest::collection::vec(prop::sample::select(HOST_LABELS.to_vec()), 1..6),
+        prop::option::of(0u8..3),
+        any::<bool>(),
+    )
+        .prop_map(|(labels, ipv4, trailing_dot)| {
+            let mut host = match ipv4 {
+                Some(last) => format!("10.0.0.{last}"),
+                None => labels.join("."),
+            };
+            if trailing_dot {
+                host.push('.');
+            }
+            host
+        })
+}
+
+/// The `Vec`-of-label-starts `second_level_domain` that the in-place label
+/// walk replaced: the oracle for the property below.
+fn second_level_domain_oracle(host: &str) -> &str {
+    let host = host.strip_suffix('.').unwrap_or(host);
+    let mut starts: Vec<usize> = vec![0];
+    for (i, b) in host.bytes().enumerate() {
+        if b == b'.' {
+            starts.push(i + 1);
+        }
+    }
+    for (pos, &start) in starts.iter().enumerate() {
+        if sockscope::urlkit::is_public_suffix(&host[start..]) {
+            return if pos == 0 {
+                host
+            } else {
+                &host[starts[pos - 1]..]
+            };
+        }
+    }
+    if starts.len() >= 2 {
+        &host[starts[starts.len() - 2]..]
+    } else {
+        host
+    }
+}
+
+proptest! {
+    /// The in-place label walk agrees with the `Vec`-based original.
+    #[test]
+    fn sld_label_walk_matches_the_vec_oracle(host in host_strategy()) {
+        prop_assert_eq!(
+            sockscope::urlkit::second_level_domain(&host),
+            second_level_domain_oracle(&host)
+        );
+    }
+
+    /// `is_third_party` compares the URLs in place with exactly the
+    /// semantics of `Origin::same_site`.
+    #[test]
+    fn third_party_is_not_same_site(a in host_strategy(), b in host_strategy()) {
+        let parse = |h: &str| sockscope::urlkit::Url::parse(&format!("http://{h}/x"));
+        if let (Ok(a), Ok(b)) = (parse(&a), parse(&b)) {
+            prop_assert_eq!(
+                sockscope::urlkit::origin::is_third_party(&a, &b),
+                !a.origin().same_site(&b.origin())
+            );
+        }
+    }
+
+    /// A shared registrable domain really is shared: every host at or
+    /// below the suffix registers there.
+    #[test]
+    fn shared_registrable_domain_holds_below_the_suffix(
+        suffix in host_strategy(),
+        head in host_strategy(),
+    ) {
+        if let Some(shared) = sockscope::urlkit::psl::shared_registrable_domain(&suffix) {
+            for host in [suffix.clone(), format!("{head}.{suffix}")] {
+                if let Ok(url) = sockscope::urlkit::Url::parse(&format!("http://{host}/")) {
+                    prop_assert_eq!(url.second_level_domain(), Some(shared));
+                }
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // filterlist
 // ---------------------------------------------------------------------------
