@@ -75,9 +75,9 @@ impl PayloadSource for EagerPayloads<'_> {
     }
 }
 
-/// One shard of the fused pipeline: a [`CrawlReduction`] fed straight off
-/// the browser's event stream, with a private classification context per
-/// shard (only the filter engine is shared, read-only).
+/// A crawl worker's stream-fused sink: a [`CrawlReduction`] fed straight
+/// off the browser's event stream, with a private classification context
+/// per worker (only the filter engine is shared, read-only).
 pub struct FusedShard<'e> {
     engine: &'e Engine,
     lib: PiiLibrary,
@@ -103,18 +103,6 @@ impl<'e> FusedShard<'e> {
             site_sockets: 0,
             page: None,
         }
-    }
-
-    /// Borrows the reduction accumulated so far (checkpoint persistence
-    /// reads this between sites — never mid-page).
-    pub fn reduction(&self) -> &CrawlReduction {
-        &self.reduction
-    }
-
-    /// Consumes the shard, yielding its reduction.
-    pub fn into_reduction(self) -> CrawlReduction {
-        debug_assert!(self.page.is_none(), "shard consumed mid-page");
-        self.reduction
     }
 
     /// Takes everything reduced since the last take, leaving the shard
@@ -301,13 +289,15 @@ impl SiteSink for FusedShard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sockscope_crawler::{browser_era, crawl, crawl_sharded_sink, CrawlConfig};
+    use sockscope_crawler::{
+        browser_era, crawl_orchestrated, crawl_reference, CrawlConfig, OrchestratorConfig,
+    };
     use sockscope_faults::FaultProfile;
     use sockscope_webgen::{SyntheticWeb, WebGenConfig};
 
     /// The load-bearing differential: a fused crawl's reduction is
-    /// byte-identical to batch reduction of the materialized records, with
-    /// and without fault injection.
+    /// byte-identical to batch reduction of the reference crawl's
+    /// materialized records, with and without fault injection.
     #[test]
     fn fused_reduction_matches_batch_reduction() {
         let web = SyntheticWeb::new(WebGenConfig {
@@ -317,28 +307,31 @@ mod tests {
         let engine = crate::study::Study::engine_for(&web);
         for faults in [None, Some(FaultProfile::heavy())] {
             let config = CrawlConfig {
-                threads: 2,
                 faults,
                 ..CrawlConfig::default()
             };
 
             let lib = PiiLibrary::new();
             let mut batch = CrawlReduction::new("era", true);
-            for record in crawl(&web, &config).records {
+            for record in crawl_reference(&web, &config) {
                 batch.observe_site(&record, &engine, &lib);
             }
             batch.normalize();
 
-            let mut fused = crawl_sharded_sink(
+            let orch = OrchestratorConfig {
+                workers: 3,
+                ..OrchestratorConfig::default()
+            };
+            let mut fused = crawl_orchestrated(
                 &web,
                 &config,
-                3,
+                &orch,
                 &|| sockscope_browser::ExtensionHost::stock(browser_era(&web.config().era)),
-                &|_| FusedShard::new("era", true, &engine),
-            )
-            .into_iter()
-            .map(FusedShard::into_reduction)
-            .fold(CrawlReduction::new("era", true), CrawlReduction::merge);
+                &|| FusedShard::new("era", true, &engine),
+                &|worker: &mut FusedShard<'_>| worker.take_site_reduction(),
+                &|| CrawlReduction::new("era", true),
+                &|acc: &mut CrawlReduction, site| acc.absorb(site),
+            );
             fused.normalize();
 
             assert_eq!(fused, batch);

@@ -2,7 +2,7 @@
 //!
 //! A paper-scale crawl (100K sites × ≤16 pages) is far too large to keep as
 //! inclusion trees. [`CrawlReduction`] consumes each site's trees as they
-//! are produced ([`sockscope_crawler::crawl_streaming`]) and keeps only:
+//! are produced and keeps only:
 //!
 //! * labeling counts per second-level domain (`a(d)`, `n(d)` from §3.2),
 //! * one [`SocketObservation`] per WebSocket (attribution + classified
@@ -13,9 +13,10 @@
 //!
 //! Reductions form a commutative monoid under [`CrawlReduction::merge`]
 //! (up to [`CrawlReduction::normalize`], which canonicalizes the order of
-//! the two positional vectors): the sharded crawl driver gives each worker
-//! a private reduction and folds the shards together afterwards, so no
-//! lock is needed while classifying.
+//! the two positional vectors): each crawl worker classifies into a
+//! private reduction and the reducer folds them together, so no lock is
+//! needed while classifying, and a checkpointed run can merge shards
+//! recovered from its journal with freshly crawled ones.
 
 use crate::pii::{PiiLibrary, ReceivedClass};
 use serde::{de, Deserialize, Serialize, Value};

@@ -1,14 +1,12 @@
 //! Perf bench P5: locked streaming reduction vs sharded lock-free merge.
 //!
-//! Two views of the same contrast:
-//!
 //! * `reduce_records/*` — the reduction stage in isolation. Records are
 //!   crawled once up front; the bench then replays them through (a) one
 //!   shared `CrawlReduction` behind a mutex with classification inside the
 //!   critical section — the pre-refactor hot path — and (b) per-shard
 //!   private reductions folded with `CrawlReduction::merge` afterwards.
-//! * `crawl_pipeline/*` — the full crawl+reduce pipeline end to end, via
-//!   `crawl_streaming` and `crawl_sharded`.
+//! * `crawl_pipeline/orchestrated` — the full crawl+classify+reduce
+//!   pipeline end to end, as `Study::run` drives it for one era.
 //!
 //! Knobs: `SOCKSCOPE_BENCH_SITES` (default 2000) and
 //! `SOCKSCOPE_BENCH_THREADS` (default 4).
@@ -16,8 +14,11 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use sockscope_analysis::pii::PiiLibrary;
 use sockscope_analysis::reduce::CrawlReduction;
+use sockscope_analysis::FusedShard;
 use sockscope_browser::ExtensionHost;
-use sockscope_crawler::{browser_era, crawl_sharded, crawl_streaming, CrawlConfig, SiteRecord};
+use sockscope_crawler::{
+    browser_era, crawl_orchestrated, crawl_reference, CrawlConfig, OrchestratorConfig, SiteRecord,
+};
 use sockscope_filterlist::Engine;
 use sockscope_webgen::{Era, SyntheticWeb, WebGenConfig};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -35,6 +36,7 @@ struct Setup {
     engine: Engine,
     era: Era,
     config: CrawlConfig,
+    threads: usize,
     shards: usize,
 }
 
@@ -51,10 +53,8 @@ fn setup() -> Setup {
         web,
         engine,
         era,
-        config: CrawlConfig {
-            threads,
-            ..CrawlConfig::default()
-        },
+        config: CrawlConfig::default(),
+        threads,
         shards: threads * 4,
     }
 }
@@ -66,7 +66,7 @@ fn reduce_locked(s: &Setup, records: &[SiteRecord]) -> CrawlReduction {
     let reduction = Mutex::new(CrawlReduction::new(s.era.label(), s.era.pre_patch()));
     let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
-        for _ in 0..s.config.threads {
+        for _ in 0..s.threads {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(record) = records.get(i) else { break };
@@ -89,7 +89,7 @@ fn reduce_sharded(s: &Setup, records: &[SiteRecord]) -> CrawlReduction {
     let next_shard = AtomicUsize::new(0);
     let mut out: Vec<Option<CrawlReduction>> = (0..s.shards).map(|_| None).collect();
     std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..s.config.threads)
+        let workers: Vec<_> = (0..s.threads)
             .map(|_| {
                 scope.spawn(|| {
                     let lib = PiiLibrary::new();
@@ -145,8 +145,7 @@ fn report_parallelism() {
 fn bench_reduce_records(c: &mut Criterion) {
     report_parallelism();
     let s = setup();
-    let dataset = sockscope_crawler::crawl(&s.web, &s.config);
-    let records = dataset.records;
+    let records = crawl_reference(&s.web, &s.config);
     assert_eq!(
         reduce_locked(&s, &records),
         reduce_sharded(&s, &records),
@@ -172,43 +171,21 @@ fn bench_crawl_pipeline(c: &mut Criterion) {
     let mut group = c.benchmark_group("crawl_pipeline");
     group.throughput(Throughput::Elements(s.web.sites().len() as u64));
     group.sample_size(10);
-    group.bench_function("locked_streaming", |b| {
+    let orch = OrchestratorConfig {
+        workers: s.threads,
+        ..OrchestratorConfig::default()
+    };
+    group.bench_function("orchestrated", |b| {
         b.iter(|| {
-            let lib = PiiLibrary::new();
-            let reduction = Mutex::new(CrawlReduction::new(s.era.label(), s.era.pre_patch()));
-            crawl_streaming(&s.web, &s.config, &make_extensions, &|record| {
-                reduction
-                    .lock()
-                    .expect("reduction lock")
-                    .observe_site(&record, &s.engine, &lib);
-            });
-            let mut reduction = reduction.into_inner().expect("reduction lock");
-            reduction.normalize();
-            reduction.sockets.len()
-        })
-    });
-    group.bench_function("sharded", |b| {
-        b.iter(|| {
-            let mut reduction = crawl_sharded(
+            let mut reduction = crawl_orchestrated(
                 &s.web,
                 &s.config,
-                s.shards,
+                &orch,
                 &make_extensions,
-                &|_shard| {
-                    (
-                        CrawlReduction::new(s.era.label(), s.era.pre_patch()),
-                        PiiLibrary::new(),
-                    )
-                },
-                &|acc: &mut (CrawlReduction, PiiLibrary), record| {
-                    acc.0.observe_site(&record, &s.engine, &acc.1);
-                },
-            )
-            .into_iter()
-            .map(|(reduction, _lib)| reduction)
-            .fold(
-                CrawlReduction::new(s.era.label(), s.era.pre_patch()),
-                CrawlReduction::merge,
+                &|| FusedShard::new(s.era.label(), s.era.pre_patch(), &s.engine),
+                &|worker: &mut FusedShard<'_>| worker.take_site_reduction(),
+                &|| CrawlReduction::new(s.era.label(), s.era.pre_patch()),
+                &|acc: &mut CrawlReduction, site| acc.absorb(site),
             );
             reduction.normalize();
             reduction.sockets.len()

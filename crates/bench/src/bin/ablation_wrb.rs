@@ -19,15 +19,38 @@
 //! is the interposition mechanics alone.
 
 use sockscope::browser::{AdBlockerExtension, BrowserEra, ExtensionHost};
-use sockscope::crawler::{crawl_with_extensions, CrawlConfig};
+use sockscope::crawler::{
+    crawl_orchestrated, CrawlConfig, OrchestratorConfig, RecordSink, SiteRecord,
+};
 use sockscope::filterlist::Engine;
 use sockscope::inclusion::NodeKind;
 use sockscope::webgen::{SyntheticWeb, WebGenConfig};
 
+#[derive(Default)]
 struct Outcome {
     sockets_opened: usize,
     sockets_blocked: usize,
     http_blocked: usize,
+}
+
+impl Outcome {
+    fn observe(&mut self, record: SiteRecord) {
+        for tree in &record.trees {
+            for node in tree.nodes() {
+                match node.kind {
+                    NodeKind::WebSocket => self.sockets_opened += 1,
+                    NodeKind::Blocked => {
+                        if node.url.starts_with("ws://") || node.url.starts_with("wss://") {
+                            self.sockets_blocked += 1;
+                        } else {
+                            self.http_blocked += 1;
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+    }
 }
 
 fn run(
@@ -48,43 +71,31 @@ fn run(
             list.push_str(&format!("||{}^$websocket\n", company.ws_host));
         }
     }
-    let config = CrawlConfig {
-        threads,
-        ..CrawlConfig::default()
+    let orch = OrchestratorConfig {
+        workers: threads,
+        ..OrchestratorConfig::default()
     };
-    let dataset = crawl_with_extensions(web, &config, &|| {
-        let (engine, _) = Engine::parse(&list);
-        let mut blocker = AdBlockerExtension::new("abp", engine);
-        if legacy_filters {
-            blocker = blocker.with_legacy_filters();
-        }
-        let mut host = ExtensionHost::stock(era).install(blocker);
-        if shim {
-            host = host.with_ws_shim();
-        }
-        host
-    });
-    let mut outcome = Outcome {
-        sockets_opened: 0,
-        sockets_blocked: 0,
-        http_blocked: 0,
-    };
-    for tree in dataset.trees() {
-        for node in tree.nodes() {
-            match node.kind {
-                NodeKind::WebSocket => outcome.sockets_opened += 1,
-                NodeKind::Blocked => {
-                    if node.url.starts_with("ws://") || node.url.starts_with("wss://") {
-                        outcome.sockets_blocked += 1;
-                    } else {
-                        outcome.http_blocked += 1;
-                    }
-                }
-                _ => {}
+    crawl_orchestrated(
+        web,
+        &CrawlConfig::default(),
+        &orch,
+        &|| {
+            let (engine, _) = Engine::parse(&list);
+            let mut blocker = AdBlockerExtension::new("abp", engine);
+            if legacy_filters {
+                blocker = blocker.with_legacy_filters();
             }
-        }
-    }
-    outcome
+            let mut host = ExtensionHost::stock(era).install(blocker);
+            if shim {
+                host = host.with_ws_shim();
+            }
+            host
+        },
+        &RecordSink::default,
+        &|sink: &mut RecordSink| sink.take_record().expect("one record per site"),
+        &Outcome::default,
+        &|outcome: &mut Outcome, record| outcome.observe(record),
+    )
 }
 
 fn main() {

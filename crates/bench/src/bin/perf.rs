@@ -1,14 +1,15 @@
 //! End-to-end pipeline perf harness → `BENCH_pipeline.json`.
 //!
 //! Runs the study pipeline stage by stage — universe generation, filter
-//! parsing, the **stream-fused** crawl+classify pipeline, the
-//! record-materializing reference crawl, batch reduction — timing each
-//! separately and, via a counting global allocator, recording each
+//! parsing, the orchestrated **stream-fused** crawl+classify pipeline
+//! `Study::run` drives, the serial record-materializing reference crawl
+//! ([`sockscope_crawler::crawl_reference`]), batch reduction — timing
+//! each separately and, via a counting global allocator, recording each
 //! stage's **peak live bytes** (net of what was already live when the
-//! stage began) and **total allocations**. The fused and reference
+//! stage began) and **total allocations**. The orchestrated and reference
 //! pipelines must produce identical reductions; the harness asserts that,
 //! then reports `memory.peak_ratio` — how many times more live memory
-//! the record path holds at its worst than the fused path. Finally it
+//! the record path holds at its worst than the orchestrated one. Finally it
 //! races the two matcher hot paths against their retained reference
 //! engines on a corpus extracted from the crawl itself:
 //!
@@ -30,7 +31,7 @@
 
 use serde::{Deserialize, Serialize};
 use sockscope_analysis::{CrawlReduction, FusedShard, PiiLibrary, Study};
-use sockscope_crawler::SiteRecord;
+use sockscope_crawler::{crawl_reference, SiteRecord};
 use sockscope_exec::memmeter::{CountingAlloc, Meter, StageStats};
 use sockscope_filterlist::{RequestContext, ResourceType};
 use sockscope_inclusion::NodeKind;
@@ -90,16 +91,16 @@ impl StageReport {
 /// Corpus sizes are recorded in the report, so a capped run is visible.
 const MAX_CORPUS: usize = 250_000;
 
-const SCHEMA: &str = "sockscope-bench-pipeline/6";
+const SCHEMA: &str = "sockscope-bench-pipeline/7";
 const DEFAULT_PATH: &str = "BENCH_pipeline.json";
 
-/// Schema /5 allocation-regression gate (`perf --check`): the fused
+/// Allocation-regression gate (`perf --check`): the orchestrated
 /// pipeline must not exceed this many allocations per site across the
-/// four eras. Post-arena measurements sit near 27.1k/site (the pre-arena
+/// four eras. Post-arena measurements sat near 27.1k/site (the pre-arena
 /// baseline was ~49.5k/site); the ceiling carries headroom for scale and
 /// machine variance but fails the check long before the old behaviour
 /// could sneak back in.
-const FUSED_ALLOCS_PER_SITE_CEILING: f64 = 32_000.0;
+const ORCHESTRATED_ALLOCS_PER_SITE_CEILING: f64 = 32_000.0;
 
 #[derive(Debug, Serialize, Deserialize)]
 struct BenchReport {
@@ -190,30 +191,25 @@ struct Supervision {
 struct Stages {
     universe: StageReport,
     filters: StageReport,
-    /// The default driver: the work-stealing pipelined orchestrator over
+    /// The crawl driver: the work-stealing pipelined orchestrator over
     /// the stream-fused crawl+classify+reduce pipeline.
     orchestrated_pipeline: StageReport,
-    /// The static shard-per-thread driver over the same fused pipeline.
-    fused_pipeline: StageReport,
-    /// The reference pipeline's crawl: full `SiteRecord` materialization.
+    /// The reference pipeline's crawl: serial, full `SiteRecord`
+    /// materialization (`crawl_reference`).
     reference_crawl: StageReport,
     /// The reference pipeline's batch classification + reduction.
     reference_reduction: StageReport,
 }
 
-/// The orchestrator's scheduling knobs, its race against the static
-/// driver, and the large-scale headline row (filled in by
-/// `perf --headline`; all-zero means the headline run has not happened).
+/// The orchestrator's scheduling knobs and the large-scale headline row
+/// (filled in by `perf --headline`; all-zero means the headline run has
+/// not happened).
 #[derive(Debug, Serialize, Deserialize)]
 struct OrchestratorReport {
     /// Crawl workers the orchestrated stage ran with.
     workers: usize,
     /// Bounded hand-off queue capacity between crawl and reduce.
     queue_depth: usize,
-    /// `fused_pipeline.seconds / orchestrated_pipeline.seconds` — the
-    /// orchestrator's wall-clock edge over the static driver on this
-    /// machine (≈1.0 on a single core, > 1 with real parallelism).
-    speedup_vs_static: f64,
     /// Universe size of the headline run (0 = not run).
     headline_sites: usize,
     /// Wall seconds of the headline single-era orchestrated crawl.
@@ -233,11 +229,11 @@ struct OrchestratorReport {
 /// The headline memory comparison.
 #[derive(Debug, Serialize, Deserialize)]
 struct Memory {
-    /// Net peak live bytes of the fused crawl+classify+reduce stage.
-    fused_peak_bytes: u64,
+    /// Net peak live bytes of the orchestrated crawl+classify+reduce stage.
+    orchestrated_peak_bytes: u64,
     /// Net peak live bytes across the reference crawl + reduction stages.
     reference_peak_bytes: u64,
-    /// `reference_peak_bytes / fused_peak_bytes`.
+    /// `reference_peak_bytes / orchestrated_peak_bytes`.
     peak_ratio: f64,
 }
 
@@ -392,15 +388,11 @@ fn run() {
     let filters = m.finish();
 
     let crawl_config = Study::crawl_config(&config);
-    let mut reference_config = crawl_config.clone();
-    reference_config.visit_reference = true;
-    let shards = config.threads.max(1) * 4;
     let lib = PiiLibrary::new();
 
     // Orchestrated pipeline first, while nothing but the universe and the
     // engine is live: the work-stealing pipelined driver over the fused
-    // crawl+classify+reduce sink. This is what `Study::run` executes by
-    // default.
+    // crawl+classify+reduce sink. This is what `Study::run` executes.
     let orch = Study::orchestrator_config(&config);
     let mut orchestrated_pipeline = StageReport::default();
     let mut orchestrated_reductions = Vec::new();
@@ -431,80 +423,30 @@ fn run() {
         orchestrated_pipeline.peak_bytes as f64 / (1024.0 * 1024.0)
     );
 
-    // Static shard-per-thread driver over the same fused sink: the
-    // reference scheduling the orchestrator must match byte for byte.
-    let mut fused_pipeline = StageReport::default();
-    let mut fused_reductions = Vec::new();
-    for era in CrawlEra::ALL {
-        let era_web = web.for_era(era);
-        let make_extensions =
-            || sockscope_browser::ExtensionHost::stock(sockscope_crawler::browser_era(&era.into()));
-        let m = Meter::start();
-        let mut reduction = sockscope_crawler::crawl_sharded_sink(
-            &era_web,
-            &crawl_config,
-            shards,
-            &make_extensions,
-            &|_shard| FusedShard::new(era.label(), era.pre_patch(), &engine),
-        )
-        .into_iter()
-        .map(FusedShard::into_reduction)
-        .fold(
-            CrawlReduction::new(era.label(), era.pre_patch()),
-            CrawlReduction::merge,
-        );
-        reduction.normalize();
-        fused_pipeline.absorb(m.finish());
-        fused_reductions.push(reduction);
-    }
-    eprintln!(
-        "[sockscope] fused pipeline: {:.1}s, peak {:.1} MiB",
-        fused_pipeline.seconds,
-        fused_pipeline.peak_bytes as f64 / (1024.0 * 1024.0)
-    );
-
-    // The orchestrator must be decision-identical to the static driver.
-    assert_eq!(
-        orchestrated_reductions, fused_reductions,
-        "orchestrated and static-shard reductions disagree"
-    );
-    drop(orchestrated_reductions);
-    let speedup_vs_static = fused_pipeline.seconds / orchestrated_pipeline.seconds.max(1e-9);
-    eprintln!("[sockscope] orchestrator vs static driver: {speedup_vs_static:.2}x wall-clock");
-
     let supervision = measure_supervision(&web, &engine, &crawl_config, &orch);
 
-    // Reference pipeline: materialize full site records (buffered browser
-    // path), then classify + reduce them in batch.
+    // Reference pipeline: materialize full site records serially
+    // (buffered browser path), then classify + reduce them in batch.
     let mut corpus = Corpus::default();
     let mut reference_crawl = StageReport::default();
     let mut reference_reduction = StageReport::default();
     let mut reductions = Vec::new();
     for era in CrawlEra::ALL {
         let era_web = web.for_era(era);
-        let make_extensions =
-            || sockscope_browser::ExtensionHost::stock(sockscope_crawler::browser_era(&era.into()));
 
         // Crawl stage: produce the site records, nothing else.
         let m = Meter::start();
-        let shard_records: Vec<Vec<SiteRecord>> = sockscope_crawler::crawl_sharded(
-            &era_web,
-            &reference_config,
-            shards,
-            &make_extensions,
-            &|_shard| Vec::new(),
-            &|acc: &mut Vec<SiteRecord>, record| acc.push(record),
-        );
+        let records = crawl_reference(&era_web, &crawl_config);
         reference_crawl.absorb(m.finish());
 
-        for record in shard_records.iter().flatten() {
+        for record in &records {
             corpus.harvest(record);
         }
 
         // Reduction stage: classify + reduce the records just produced.
         let m = Meter::start();
         let mut reduction = CrawlReduction::new(era.label(), era.pre_patch());
-        for record in shard_records.iter().flatten() {
+        for record in &records {
             reduction.observe_site(record, &engine, &lib);
         }
         reduction.normalize();
@@ -518,30 +460,31 @@ fn run() {
         );
     }
 
-    // The fused pipeline must be decision-identical to the reference.
+    // The orchestrated pipeline must be decision-identical to the
+    // reference.
     assert_eq!(
-        fused_reductions, reductions,
-        "fused and reference reductions disagree"
+        orchestrated_reductions, reductions,
+        "orchestrated and reference reductions disagree"
     );
+    drop(orchestrated_reductions);
 
     let m = Meter::start();
     let study = Study::assemble(&web, engine, reductions);
     reference_reduction.absorb(m.finish());
 
+    let reference_peak_bytes = reference_crawl
+        .peak_bytes
+        .max(reference_reduction.peak_bytes);
     let memory = Memory {
-        fused_peak_bytes: fused_pipeline.peak_bytes,
-        reference_peak_bytes: reference_crawl
-            .peak_bytes
-            .max(reference_reduction.peak_bytes),
-        peak_ratio: reference_crawl
-            .peak_bytes
-            .max(reference_reduction.peak_bytes) as f64
-            / (fused_pipeline.peak_bytes as f64).max(1.0),
+        orchestrated_peak_bytes: orchestrated_pipeline.peak_bytes,
+        reference_peak_bytes,
+        peak_ratio: reference_peak_bytes as f64
+            / (orchestrated_pipeline.peak_bytes as f64).max(1.0),
     };
     eprintln!(
-        "[sockscope] memory: reference peak {:.1} MiB vs fused peak {:.1} MiB ({:.1}x)",
+        "[sockscope] memory: reference peak {:.1} MiB vs orchestrated peak {:.1} MiB ({:.1}x)",
         memory.reference_peak_bytes as f64 / (1024.0 * 1024.0),
-        memory.fused_peak_bytes as f64 / (1024.0 * 1024.0),
+        memory.orchestrated_peak_bytes as f64 / (1024.0 * 1024.0),
         memory.peak_ratio
     );
 
@@ -612,7 +555,6 @@ fn run() {
         universe: StageReport::from_stats(universe),
         filters: StageReport::from_stats(filters),
         orchestrated_pipeline,
-        fused_pipeline,
         reference_crawl,
         reference_reduction,
     };
@@ -620,15 +562,15 @@ fn run() {
         &mut stages.universe,
         &mut stages.filters,
         &mut stages.orchestrated_pipeline,
-        &mut stages.fused_pipeline,
         &mut stages.reference_crawl,
         &mut stages.reference_reduction,
     ] {
         stage.derive(config.n_sites);
     }
     eprintln!(
-        "[sockscope] fused pipeline allocation pressure: {:.0} allocs/site, {:.0} B/site",
-        stages.fused_pipeline.allocs_per_site, stages.fused_pipeline.bytes_allocd_per_site
+        "[sockscope] orchestrated pipeline allocation pressure: {:.0} allocs/site, {:.0} B/site",
+        stages.orchestrated_pipeline.allocs_per_site,
+        stages.orchestrated_pipeline.bytes_allocd_per_site
     );
     let report = BenchReport {
         schema: SCHEMA.to_string(),
@@ -646,7 +588,6 @@ fn run() {
         orchestrator: OrchestratorReport {
             workers: orch.workers,
             queue_depth: orch.queue_depth,
-            speedup_vs_static,
             headline_sites: 0,
             headline_seconds: 0.0,
             headline_peak_bytes: 0,
@@ -1076,7 +1017,6 @@ fn check(path: &str) {
             "orchestrated_pipeline",
             &report.stages.orchestrated_pipeline,
         ),
-        ("fused_pipeline", &report.stages.fused_pipeline),
         ("reference_crawl", &report.stages.reference_crawl),
         ("reference_reduction", &report.stages.reference_reduction),
     ];
@@ -1103,13 +1043,13 @@ fn check(path: &str) {
             s.bytes_allocd_per_site
         );
     }
-    // Allocation-regression gate: the arena work cut the fused pipeline
+    // Allocation-regression gate: the arena work cut the crawl pipeline
     // to ~27k allocations/site; fail loudly if the count creeps back up.
     assert!(
-        report.stages.fused_pipeline.allocs_per_site <= FUSED_ALLOCS_PER_SITE_CEILING,
-        "fused_pipeline allocation regression: {:.0} allocs/site exceeds the {} ceiling",
-        report.stages.fused_pipeline.allocs_per_site,
-        FUSED_ALLOCS_PER_SITE_CEILING
+        report.stages.orchestrated_pipeline.allocs_per_site <= ORCHESTRATED_ALLOCS_PER_SITE_CEILING,
+        "orchestrated_pipeline allocation regression: {:.0} allocs/site exceeds the {} ceiling",
+        report.stages.orchestrated_pipeline.allocs_per_site,
+        ORCHESTRATED_ALLOCS_PER_SITE_CEILING
     );
     // Arena section (schema /5): the pipeline runs arena-backed visits,
     // so the counters cannot be flat.
@@ -1123,7 +1063,7 @@ fn check(path: &str) {
         "arena.served_bytes must be nonzero"
     );
     assert!(
-        report.memory.fused_peak_bytes > 0 && report.memory.reference_peak_bytes > 0,
+        report.memory.orchestrated_peak_bytes > 0 && report.memory.reference_peak_bytes > 0,
         "memory peaks must be nonzero"
     );
     assert!(
@@ -1152,12 +1092,6 @@ fn check(path: &str) {
     assert!(
         report.orchestrator.queue_depth >= 1,
         "orchestrator queue cannot be unbuffered"
-    );
-    assert!(
-        report.orchestrator.speedup_vs_static.is_finite()
-            && report.orchestrator.speedup_vs_static > 0.0,
-        "orchestrator.speedup_vs_static must be positive, got {}",
-        report.orchestrator.speedup_vs_static
     );
     // Supervision section (schema /4). The overhead bound here is a loose
     // sanity band — CI machines are noisy; the < 1.20 acceptance bar

@@ -11,7 +11,6 @@
 //! | `SOCKSCOPE_SEED` | 0x50C25C0F | universe seed |
 //! | `SOCKSCOPE_WORKERS` | `SOCKSCOPE_THREADS` | orchestrator crawl workers |
 //! | `SOCKSCOPE_QUEUE_DEPTH` | 64 | orchestrator hand-off queue capacity |
-//! | `SOCKSCOPE_STATIC` | unset | `1` = static shard-per-thread driver |
 //! | `SOCKSCOPE_ERAS` | unset | N-era synthetic timeline instead of the paper's 4 crawls |
 
 #![forbid(unsafe_code)]
@@ -47,9 +46,6 @@ pub fn study_config_from_env() -> StudyConfig {
         if let Ok(n) = v.parse::<usize>() {
             config.queue_depth = n.max(1);
         }
-    }
-    if std::env::var("SOCKSCOPE_STATIC").as_deref() == Ok("1") {
-        config.orchestrated = false;
     }
     // After --seed so the synthetic timeline derives from the final seed,
     // matching the CLI's `--eras` behaviour.

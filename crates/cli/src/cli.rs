@@ -33,9 +33,6 @@ pub enum Command {
         config: StudyConfig,
         /// Snapshot destination.
         save: Option<String>,
-        /// Use the locked streaming reference pipeline instead of the
-        /// default sharded one (identical output, slower).
-        streaming: bool,
         /// Durable checkpoint journal directory (crash-safe crawl).
         checkpoint_dir: Option<String>,
         /// Resume from the checkpoint journal instead of starting fresh.
@@ -92,8 +89,8 @@ pub const USAGE: &str = "\
 sockscope — reproduction of 'How Tracking Companies Circumvented Ad Blockers Using WebSockets' (IMC'18)
 
 USAGE:
-  sockscope run       [--sites N] [--seed HEX] [--threads N] [--save FILE] [--streaming]
-                      [--workers N] [--queue-depth N] [--orchestrated | --static-shards]
+  sockscope run       [--sites N] [--seed HEX] [--threads N] [--save FILE]
+                      [--workers N] [--queue-depth N]
                       [--faults PROFILE] [--checkpoint-dir DIR] [--resume]
                       [--max-quarantined N] [--eras N] [--lineage-dir DIR]
   sockscope report    [--from FILE | --sites N ...]
@@ -112,16 +109,10 @@ OPTIONS:
   --threads N     crawl worker threads (default: all cores)
   --save FILE     write a reusable JSON snapshot of the crawl
   --from FILE     analyze a saved snapshot instead of re-crawling
-  --streaming     run the locked streaming reference pipeline instead of
-                  the default sharded lock-free one (identical output)
   --workers N     orchestrator crawl workers (default: --threads); the
                   output is byte-identical for every worker count
   --queue-depth N bounded hand-off queue capacity between the crawl and
                   reduce stages (default 64); scheduling-only knob
-  --orchestrated  drive the crawl with the work-stealing pipelined
-                  orchestrator (the default)
-  --static-shards drive the crawl with the static shard-per-thread
-                  reference driver instead (identical output)
   --faults PROF   inject seeded deterministic faults during the crawl:
                   none | mild | heavy | poison (default none). Transport
                   profiles (mild/heavy) degrade pages; poison injects
@@ -242,14 +233,10 @@ struct Knobs {
     config: StudyConfig,
     save: Option<String>,
     from: Option<String>,
-    streaming: bool,
     checkpoint_dir: Option<String>,
     resume: bool,
     max_quarantined: Option<usize>,
     lineage_dir: Option<String>,
-    /// How many of `--orchestrated`/`--static-shards` appeared (they are
-    /// mutually exclusive with each other and with `--streaming`).
-    driver_flags: usize,
 }
 
 fn parse_knobs(args: &[String]) -> Result<Knobs, ParseError> {
@@ -259,13 +246,11 @@ fn parse_knobs(args: &[String]) -> Result<Knobs, ParseError> {
     };
     let mut save = None;
     let mut from = None;
-    let mut streaming = false;
     let mut checkpoint_dir = None;
     let mut resume = false;
     let mut max_quarantined = None;
     let mut lineage_dir = None;
     let mut eras: Option<usize> = None;
-    let mut driver_flags = 0usize;
     let mut i = 0;
     while i < args.len() {
         let flag = args[i].as_str();
@@ -274,25 +259,8 @@ fn parse_knobs(args: &[String]) -> Result<Knobs, ParseError> {
                 .ok_or_else(|| ParseError(format!("{flag} needs a value")))
         };
         match flag {
-            "--streaming" => {
-                streaming = true;
-                i += 1;
-                continue;
-            }
             "--resume" => {
                 resume = true;
-                i += 1;
-                continue;
-            }
-            "--orchestrated" => {
-                config.orchestrated = true;
-                driver_flags += 1;
-                i += 1;
-                continue;
-            }
-            "--static-shards" => {
-                config.orchestrated = false;
-                driver_flags += 1;
                 i += 1;
                 continue;
             }
@@ -308,9 +276,13 @@ fn parse_knobs(args: &[String]) -> Result<Knobs, ParseError> {
                     .map_err(|_| ParseError("--seed expects hex".into()))?;
             }
             "--threads" => {
-                config.threads = value()?
+                let n: usize = value()?
                     .parse()
                     .map_err(|_| ParseError("--threads expects an integer".into()))?;
+                if n == 0 {
+                    return Err(ParseError("--threads expects at least 1".into()));
+                }
+                config.threads = n;
             }
             "--workers" => {
                 let n: usize = value()?
@@ -359,11 +331,6 @@ fn parse_knobs(args: &[String]) -> Result<Knobs, ParseError> {
         }
         i += 2;
     }
-    if driver_flags > 1 {
-        return Err(ParseError(
-            "--orchestrated and --static-shards are mutually exclusive".into(),
-        ));
-    }
     // Applied after the loop so the timeline seed follows the final
     // --seed value regardless of flag order.
     if let Some(n) = eras {
@@ -373,12 +340,10 @@ fn parse_knobs(args: &[String]) -> Result<Knobs, ParseError> {
         config,
         save,
         from,
-        streaming,
         checkpoint_dir,
         resume,
         max_quarantined,
         lineage_dir,
-        driver_flags,
     })
 }
 
@@ -414,20 +379,9 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             if knobs.resume && knobs.checkpoint_dir.is_none() {
                 return Err(ParseError("--resume requires --checkpoint-dir".into()));
             }
-            if knobs.streaming && knobs.checkpoint_dir.is_some() {
-                return Err(ParseError(
-                    "--checkpoint-dir requires the sharded pipeline; drop --streaming".into(),
-                ));
-            }
-            if knobs.streaming && knobs.driver_flags > 0 {
-                return Err(ParseError(
-                    "--streaming is its own pipeline; drop --orchestrated/--static-shards".into(),
-                ));
-            }
             Ok(Command::Run {
                 config: knobs.config,
                 save: knobs.save,
-                streaming: knobs.streaming,
                 checkpoint_dir: knobs.checkpoint_dir,
                 resume: knobs.resume,
                 max_quarantined: knobs.max_quarantined,
@@ -523,24 +477,16 @@ pub fn execute_with_status(command: Command) -> Result<(String, i32), CliError> 
         Command::Run {
             config,
             save,
-            streaming,
             checkpoint_dir,
             resume,
             max_quarantined,
             lineage_dir,
         } => {
             eprintln!(
-                "[sockscope] crawling {} sites x {} crawls (threads: {}, pipeline: {})...",
+                "[sockscope] crawling {} sites x {} crawls (threads: {})...",
                 config.n_sites,
                 config.timeline.len(),
-                config.threads,
-                if streaming {
-                    "streaming"
-                } else if config.orchestrated {
-                    "orchestrated"
-                } else {
-                    "static-shards"
-                }
+                config.threads
             );
             let mut report = if let Some(dir) = checkpoint_dir {
                 let opts = CheckpointOptions {
@@ -563,14 +509,11 @@ pub fn execute_with_status(command: Command) -> Result<(String, i32), CliError> 
                     provenance.shards_recovered, provenance.shards_recrawled
                 );
                 StudyReport::from_checkpointed(study, provenance)
-            } else if streaming {
-                StudyReport::run_streaming(&config)
             } else {
                 StudyReport::run(&config)
             };
             // Longitudinal products: derived from the finished study so
-            // they compose with every driver (orchestrated, static,
-            // streaming, checkpointed resume).
+            // they compose with plain and checkpointed (resumed) runs.
             if lineage_dir.is_some() || !config.timeline.is_paper() {
                 let web = Study::universe(&config);
                 report.era_drift = Some(era_deltas(&report.study, &web, &config));
@@ -725,7 +668,6 @@ mod tests {
             Command::Run {
                 config,
                 save,
-                streaming,
                 checkpoint_dir,
                 resume,
                 max_quarantined,
@@ -735,7 +677,6 @@ mod tests {
                 assert_eq!(config.seed, 0xABC);
                 assert_eq!(config.threads, 2);
                 assert_eq!(save.as_deref(), Some("out.json"));
-                assert!(!streaming);
                 assert_eq!(checkpoint_dir, None);
                 assert!(!resume);
                 assert_eq!(max_quarantined, None);
@@ -769,8 +710,6 @@ mod tests {
         }
         // --resume is meaningless without a journal to resume from.
         assert!(parse(&args(&["run", "--resume"])).is_err());
-        // Checkpointing lives in the sharded pipeline only.
-        assert!(parse(&args(&["run", "--checkpoint-dir", "j", "--streaming"])).is_err());
     }
 
     #[test]
@@ -823,7 +762,6 @@ mod tests {
                     ..StudyConfig::default()
                 },
                 save: None,
-                streaming: false,
                 checkpoint_dir: None,
                 resume: false,
                 max_quarantined,
@@ -872,23 +810,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_streaming_escape_hatch() {
-        let cmd = parse(&args(&["run", "--streaming", "--sites", "40"])).unwrap();
-        match cmd {
-            Command::Run {
-                config, streaming, ..
-            } => {
-                assert_eq!(config.n_sites, 40);
-                assert!(streaming);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        // The analysis commands run the default sharded pipeline; the flag
-        // is still accepted (and ignored) so scripts can share knobs.
-        assert!(parse(&args(&["report", "--streaming"])).is_ok());
-    }
-
-    #[test]
     fn parses_orchestrator_knobs() {
         let cmd = parse(&args(&[
             "run",
@@ -898,34 +819,32 @@ mod tests {
             "4",
             "--queue-depth",
             "16",
-            "--orchestrated",
         ]))
         .unwrap();
         match cmd {
             Command::Run { config, .. } => {
-                assert!(config.orchestrated);
                 assert_eq!(config.workers, Some(4));
                 assert_eq!(config.queue_depth, 16);
             }
             other => panic!("unexpected {other:?}"),
         }
-        let cmd = parse(&args(&["run", "--static-shards"])).unwrap();
-        match cmd {
-            Command::Run { config, .. } => {
-                assert!(!config.orchestrated);
-                assert_eq!(config.workers, None);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        // The two driver flags contradict each other, and --streaming is
-        // a third pipeline entirely.
-        assert!(parse(&args(&["run", "--orchestrated", "--static-shards"])).is_err());
-        assert!(parse(&args(&["run", "--streaming", "--orchestrated"])).is_err());
-        assert!(parse(&args(&["run", "--streaming", "--static-shards"])).is_err());
         // Degenerate knob values are rejected up front.
-        assert!(parse(&args(&["run", "--workers", "0"])).is_err());
-        assert!(parse(&args(&["run", "--queue-depth", "0"])).is_err());
-        assert!(parse(&args(&["run", "--workers", "many"])).is_err());
+        for (flag, value) in [
+            ("--threads", "0"),
+            ("--workers", "0"),
+            ("--queue-depth", "0"),
+            ("--workers", "many"),
+        ] {
+            let err = parse(&args(&["run", flag, value])).unwrap_err();
+            assert!(err.0.starts_with(flag), "{flag} {value}: {err}");
+        }
+        // The removed driver selectors are plain unknown options now.
+        for flag in ["--streaming", "--orchestrated", "--static-shards"] {
+            assert_eq!(
+                parse(&args(&["run", flag])),
+                Err(ParseError(format!("unknown option {flag}")))
+            );
+        }
     }
 
     #[test]
@@ -1087,7 +1006,6 @@ mod tests {
                 ..StudyConfig::default()
             },
             save: Some(snap_str.clone()),
-            streaming: false,
             checkpoint_dir: None,
             resume: false,
             max_quarantined: None,
@@ -1119,7 +1037,6 @@ mod tests {
             execute(Command::Run {
                 config: config.clone(),
                 save: None,
-                streaming: false,
                 checkpoint_dir: Some(dir.to_string_lossy().into_owned()),
                 resume,
                 max_quarantined: None,

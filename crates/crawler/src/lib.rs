@@ -14,36 +14,19 @@
 //! keep the random choice (seeded) and drop the wall-clock politeness —
 //! the synthetic web has no rate limits, and determinism is a feature.
 //!
-//! Crawls run in parallel with std scoped threads. Results are returned
-//! in site order regardless of scheduling, so a crawl is fully
-//! reproducible.
+//! There is one crawl driver: [`crawl_orchestrated`] /
+//! [`crawl_orchestrated_resumable`] ([`orchestrator`]). Workers steal
+//! sites from each other, stream each site's CDP events into a private
+//! [`SiteSink`] the moment the browser emits them, and hand finished
+//! per-site results through a bounded queue to a reducer that folds them
+//! in ascending site order, so the output never depends on scheduling.
 //!
-//! Three parallel drivers are provided, trading memory for contention:
-//!
-//! * [`crawl_with_extensions`] — collects every [`SiteRecord`] into a
-//!   [`CrawlDataset`]; simple, memory-heavy.
-//! * [`crawl_streaming`] — hands each record to a shared sink; flat
-//!   memory, but sinks that aggregate must lock on every site.
-//! * [`crawl_sharded`] — partitions sites into shards, gives each shard a
-//!   private accumulator, and folds records into it with **no lock in the
-//!   per-site hot path**; the caller merges the returned shard
-//!   accumulators in shard order, which keeps results deterministic.
-//! * [`crawl_sharded_sink`] — the stream-fused variant: each shard
-//!   accumulator is a [`SiteSink`] fed CDP events the moment the browser
-//!   emits them, so no per-page event buffer or [`SiteRecord`] exists at
-//!   all; per-site memory is bounded by one inclusion tree.
-//! * [`crawl_orchestrated`] / [`crawl_orchestrated_resumable`] — the
-//!   work-stealing pipelined driver ([`orchestrator`]): per-site stealing
-//!   instead of static shard ownership, bounded queues between the
-//!   visit/classify and reduce stages, and a global in-flight cap, with
-//!   results folded in ascending site order so the merged output is
-//!   byte-identical to the static drivers.
-//!
-//! All drivers share one frontier/fault loop (`drive_site`) and one
-//! streamed per-site driver over the sink protocol (`drive_site_sink`,
-//! reached through [`crawl_one_site_sink`]), so their outputs are
-//! decision-identical by construction; `CrawlConfig::visit_reference`
-//! retains the pre-fusion materializing path for differential testing.
+//! Every site — orchestrated or not — runs through one frontier/fault
+//! loop (`drive_site`). [`crawl_reference`] is the serial,
+//! record-materializing oracle over that same loop: it buffers each
+//! page's events and batch-builds its tree. Tests and the `perf`
+//! harness's reference rows race it against the orchestrator; no
+//! production path calls it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -55,8 +38,6 @@ pub use orchestrator::{crawl_orchestrated, crawl_orchestrated_resumable, Orchest
 pub use supervisor::{supervise_site, QuarantineReason, QuarantineRecord};
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use sockscope_browser::{
     Browser, BrowserConfig, BrowserEra, CdpEvent, ExtensionHost, VisitError, VisitSink,
@@ -64,7 +45,7 @@ use sockscope_browser::{
 };
 use sockscope_faults::{FaultContext, FaultProfile, VirtualClock};
 use sockscope_inclusion::{InclusionTree, TreeBuilder};
-use sockscope_webgen::{Era, EraTimeline, SyntheticWeb};
+use sockscope_webgen::{Era, SyntheticWeb};
 
 /// Crawler configuration.
 #[derive(Debug, Clone)]
@@ -73,20 +54,11 @@ pub struct CrawlConfig {
     pub seed: u64,
     /// Maximum links to visit beyond the homepage (the paper's 15).
     pub max_links: usize,
-    /// Worker threads.
-    pub threads: usize,
     /// Fault profile override. `None` defers to the universe's
     /// [`WebGenConfig::faults`](sockscope_webgen::WebGenConfig); a profile
     /// whose rates are all zero is treated as no injection at all, so the
     /// crawl output is byte-identical to the fault-free pipeline.
     pub faults: Option<FaultProfile>,
-    /// Use the retained materializing visit path: buffer each page's full
-    /// event stream into a `Vec<CdpEvent>` and batch-build its inclusion
-    /// tree, exactly as the pipeline did before stream fusion. The default
-    /// (`false`) streams events into an incremental [`TreeBuilder`] as they
-    /// are emitted. Both paths produce identical trees — the reference path
-    /// exists so differential tests and the perf harness can prove it.
-    pub visit_reference: bool,
 }
 
 impl Default for CrawlConfig {
@@ -94,11 +66,7 @@ impl Default for CrawlConfig {
         CrawlConfig {
             seed: 0xC4A31,
             max_links: 15,
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
             faults: None,
-            visit_reference: false,
         }
     }
 }
@@ -180,37 +148,6 @@ impl SiteRecord {
     }
 }
 
-/// A completed crawl.
-#[derive(Debug, Clone)]
-pub struct CrawlDataset {
-    /// The crawl's date label (Table 1 row).
-    pub label: String,
-    /// Crawl era.
-    pub era: Era,
-    /// Per-site records, in site order.
-    pub records: Vec<SiteRecord>,
-}
-
-impl CrawlDataset {
-    /// All inclusion trees of the crawl.
-    pub fn trees(&self) -> impl Iterator<Item = &InclusionTree> {
-        self.records.iter().flat_map(|r| r.trees.iter())
-    }
-
-    /// Fraction of sites with at least one WebSocket (Table 1, column 2).
-    pub fn fraction_sites_with_sockets(&self) -> f64 {
-        if self.records.is_empty() {
-            return 0.0;
-        }
-        let with = self
-            .records
-            .iter()
-            .filter(|r| r.websocket_count() > 0)
-            .count();
-        with as f64 / self.records.len() as f64
-    }
-}
-
 /// Deterministic xorshift for link sampling.
 struct LinkRng(u64);
 
@@ -236,7 +173,8 @@ fn mix(seed: u64, stream: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The per-site frontier driver both public crawl entry points share.
+/// The per-site frontier driver every site crawl runs through, streamed
+/// ([`drive_site_sink`]) or buffered ([`crawl_reference`]).
 ///
 /// One loop implements §3.3's frontier policy *and* the fault machinery:
 /// the fault-free crawl is the fault crawl with an empty plan
@@ -363,46 +301,11 @@ fn drive_site(
     site_faults
 }
 
-/// Reference page loader over [`drive_site`]: buffers each page's full
-/// event stream into a materialized `Visit` and batch-builds its
-/// inclusion tree — the pre-fusion path, retained solely so differential
-/// tests and the perf harness can race it against the streamed one.
-/// Every production entry point goes through [`drive_site_sink`] instead.
-fn crawl_site_trees_reference(
-    browser: &Browser<'_>,
-    homepage: &str,
-    site_domain: &str,
-    max_links: usize,
-    seed: u64,
-    faults: Option<(&FaultProfile, u64, u64)>,
-) -> (Vec<InclusionTree>, SiteFaults) {
-    let mut trees = Vec::new();
-    let site_faults = drive_site(
-        homepage,
-        site_domain,
-        max_links,
-        seed,
-        faults,
-        &mut |url, ctx| {
-            let v = browser.visit_with_faults(url, ctx)?;
-            trees.push(InclusionTree::build(url, &v.events));
-            Ok(VisitSummary {
-                page_url: v.page_url,
-                links: v.links,
-                blocked: v.blocked,
-                faults: v.faults,
-            })
-        },
-    );
-    (trees, site_faults)
-}
-
 /// **The** streamed per-site driver: [`drive_site`]'s frontier/fault loop
-/// wrapped around the sink protocol. Every streamed entry point — the
-/// fused shard drivers, the orchestrator, [`crawl_site`], and (via
-/// [`RecordSink`]) the record-returning drivers — funnels through this
-/// one function, so its event-order contract is the contract of the whole
-/// crawler, pinned by `sink_event_order_contract` in the tests:
+/// wrapped around the sink protocol. The orchestrator and the supervisor
+/// reach it through [`crawl_one_site_sink`], so its event-order contract
+/// is the contract of the whole crawler, pinned by
+/// `sink_event_order_contract` in the tests:
 ///
 /// 1. `page_begin(url)` brackets with exactly one `page_end()` or
 ///    `page_abort()`; pages never nest and never cross sites.
@@ -442,111 +345,6 @@ fn drive_site_sink<A: SiteSink>(
     )
 }
 
-/// Minimal [`SiteSink`] that keeps one [`InclusionTree`] per loaded page:
-/// the streamed tree collector behind [`crawl_site`].
-#[derive(Default)]
-struct TreeSink {
-    trees: Vec<InclusionTree>,
-    builder: Option<TreeBuilder>,
-}
-
-impl VisitSink for TreeSink {
-    fn on_event(&mut self, event: CdpEvent) {
-        self.builder
-            .as_mut()
-            .expect("events only between page_begin and page_end")
-            .push(&event);
-    }
-}
-
-impl SiteSink for TreeSink {
-    fn site_begin(&mut self, _site_id: usize, _domain: &str, _rank: u32) {}
-
-    fn page_begin(&mut self, url: &str) {
-        self.builder = Some(TreeBuilder::new(url));
-    }
-
-    fn page_end(&mut self) {
-        let builder = self.builder.take().expect("page_end after page_begin");
-        self.trees.push(builder.finish());
-    }
-
-    fn page_abort(&mut self) {
-        self.builder = None;
-    }
-
-    fn site_end(&mut self, _faults: Option<&SiteFaults>) {}
-
-    fn site_abort(&mut self) {
-        self.builder = None;
-        self.trees.clear();
-    }
-}
-
-/// Crawls one site with a given browser: homepage + up to `max_links`
-/// same-site pages (§3.3's frontier policy). Pages stream through an
-/// incremental [`TreeBuilder`]; no per-page event buffer is materialized.
-pub fn crawl_site(
-    browser: &Browser<'_>,
-    homepage: &str,
-    site_domain: &str,
-    max_links: usize,
-    seed: u64,
-) -> Vec<InclusionTree> {
-    let mut sink = TreeSink::default();
-    drive_site_sink(
-        browser,
-        homepage,
-        site_domain,
-        max_links,
-        seed,
-        None,
-        &mut sink,
-    );
-    sink.trees
-}
-
-/// Fault-injecting variant of [`crawl_site`]. Link sampling is identical;
-/// on top of it, every page visit draws from the seeded fault plan:
-/// unreachable pages are retried up to `profile.max_retries` times with
-/// exponential virtual-clock backoff, and the site is cut short (a
-/// degraded, partial record — never a panic) once the virtual clock
-/// exceeds `profile.page_budget`. Both functions are thin wrappers over
-/// one shared frontier driver, so the fault-free crawl *is* the fault
-/// crawl with a no-op plan.
-#[allow(clippy::too_many_arguments)]
-pub fn crawl_site_with_faults(
-    browser: &Browser<'_>,
-    homepage: &str,
-    site_domain: &str,
-    max_links: usize,
-    seed: u64,
-    profile: &FaultProfile,
-    fault_seed: u64,
-    site_rank: u64,
-) -> (Vec<InclusionTree>, SiteFaults) {
-    let mut sink = TreeSink::default();
-    let site_faults = drive_site_sink(
-        browser,
-        homepage,
-        site_domain,
-        max_links,
-        seed,
-        Some((profile, fault_seed, site_rank)),
-        &mut sink,
-    );
-    (sink.trees, site_faults)
-}
-
-/// Crawls the whole synthetic web with a stock browser (no extensions) —
-/// the paper's measurement configuration. The browser era tracks the crawl
-/// era (pre-patch crawls ran Chrome ≤57).
-pub fn crawl(web: &SyntheticWeb, config: &CrawlConfig) -> CrawlDataset {
-    crawl_with_extensions(web, config, &|| {
-        ExtensionHost::stock(browser_era(&web.config().era))
-    })
-}
-
 /// Maps crawl era to browser era.
 pub fn browser_era(era: &Era) -> BrowserEra {
     if era.pre_patch() {
@@ -556,73 +354,32 @@ pub fn browser_era(era: &Era) -> BrowserEra {
     }
 }
 
-/// Crawls with a caller-supplied extension configuration (used by the WRB
-/// ablation, which installs an ad blocker).
-pub fn crawl_with_extensions(
-    web: &SyntheticWeb,
+/// The browser a crawl of `web` drives: `extensions` installed, visit seed
+/// derived from the crawl and universe seeds.
+fn crawl_browser<'w>(
+    web: &'w SyntheticWeb,
     config: &CrawlConfig,
-    make_extensions: &(dyn Fn() -> ExtensionHost + Sync),
-) -> CrawlDataset {
-    let n = web.sites().len();
-    let records: Mutex<Vec<Option<SiteRecord>>> = Mutex::new((0..n).map(|_| None).collect());
-    let next = AtomicUsize::new(0);
-    let threads = config.threads.max(1);
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let extensions = make_extensions();
-                let browser_config = BrowserConfig {
-                    seed: config.seed ^ web.config().seed,
-                    ..BrowserConfig::default()
-                };
-                let browser = Browser::new(web, extensions, browser_config);
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let record = crawl_one_site(web, config, &browser, i);
-                    records.lock().expect("records lock")[i] = Some(record);
-                }
-            });
-        }
-    });
-
-    CrawlDataset {
-        label: web.config().era.label().to_string(),
-        era: web.config().era.clone(),
-        records: records
-            .into_inner()
-            .expect("records lock")
-            .into_iter()
-            .map(|r| r.expect("all sites crawled"))
-            .collect(),
-    }
+    extensions: ExtensionHost,
+) -> Browser<'w> {
+    let browser_config = BrowserConfig {
+        seed: config.seed ^ web.config().seed,
+        ..BrowserConfig::default()
+    };
+    Browser::new(web, extensions, browser_config)
 }
 
-/// Crawls site `i` of the universe with the per-site seed derived from the
-/// crawl seed, site id, and era — shared by every parallel driver so they
-/// all observe identical per-site behaviour. The default path is
-/// [`crawl_one_site_sink`] through a [`RecordSink`]; `visit_reference`
-/// swaps in the retained materializing loader for differential runs.
-fn crawl_one_site(
+/// Site `i`'s link-sampling seed and fault arguments under the effective
+/// profile `faults`: depends only on the crawl seed, the site, and the
+/// era, so every path that crawls site `i` observes identical behaviour.
+fn site_plan<'p>(
     web: &SyntheticWeb,
     config: &CrawlConfig,
-    browser: &Browser<'_>,
     i: usize,
-) -> SiteRecord {
-    if !config.visit_reference {
-        let mut sink = RecordSink::default();
-        crawl_one_site_sink(web, config, browser, i, &mut sink);
-        return sink
-            .take_record()
-            .expect("crawl_one_site_sink completes exactly one site");
-    }
+    faults: Option<&'p FaultProfile>,
+) -> (u64, Option<(&'p FaultProfile, u64, u64)>) {
     let site = &web.sites()[i];
     let link_seed = mix(config.seed, web.config().era.site_stream(site.id as u64));
-    let effective = effective_faults(web, config);
-    let fault_args = effective.as_ref().map(|profile| {
+    let fault_args = faults.map(|profile| {
         (
             profile,
             // Each era draws its own fault stream over the shared seed.
@@ -630,22 +387,58 @@ fn crawl_one_site(
             site.rank as u64,
         )
     });
-    let accounting = fault_args.is_some();
-    let (trees, site_faults) = crawl_site_trees_reference(
-        browser,
-        &site.homepage(),
-        &site.domain,
-        config.max_links,
-        link_seed,
-        fault_args,
+    (link_seed, fault_args)
+}
+
+/// The reference crawl: every site of `web`, serially, with a stock
+/// browser for the universe's era — the record-materializing oracle the
+/// tests and the `perf` harness race the orchestrator against. No
+/// production path calls it.
+///
+/// Each page's full event stream is buffered by
+/// [`Browser::visit_with_faults`] and its inclusion tree batch-built with
+/// [`InclusionTree::build`], so it shares nothing with the production
+/// path below [`drive_site`]'s frontier/fault loop: not the streamed
+/// visit, not the incremental [`TreeBuilder`], not the sink protocol.
+/// Records come back in site order.
+pub fn crawl_reference(web: &SyntheticWeb, config: &CrawlConfig) -> Vec<SiteRecord> {
+    let browser = crawl_browser(
+        web,
+        config,
+        ExtensionHost::stock(browser_era(&web.config().era)),
     );
-    SiteRecord {
-        site_id: site.id,
-        domain: site.domain.clone(),
-        rank: site.rank,
-        trees,
-        faults: accounting.then_some(site_faults),
-    }
+    let effective = effective_faults(web, config);
+    (0..web.sites().len())
+        .map(|i| {
+            let site = &web.sites()[i];
+            let (link_seed, fault_args) = site_plan(web, config, i, effective.as_ref());
+            let mut trees = Vec::new();
+            let site_faults = drive_site(
+                &site.homepage(),
+                &site.domain,
+                config.max_links,
+                link_seed,
+                fault_args,
+                &mut |url, ctx| {
+                    let v = browser.visit_with_faults(url, ctx)?;
+                    trees.push(InclusionTree::build(url, &v.events));
+                    Ok(VisitSummary {
+                        page_url: v.page_url,
+                        links: v.links,
+                        blocked: v.blocked,
+                        faults: v.faults,
+                    })
+                },
+            );
+            SiteRecord {
+                site_id: site.id,
+                domain: site.domain.clone(),
+                rank: site.rank,
+                trees,
+                faults: fault_args.is_some().then_some(site_faults),
+            }
+        })
+        .collect()
 }
 
 /// A consumer of a *fused* crawl: per-site and per-page lifecycle
@@ -654,7 +447,7 @@ fn crawl_one_site(
 ///
 /// This is the zero-materialization seam: no `Visit`, no `SiteRecord`, no
 /// per-page event buffer exists anywhere on the path from the browser to
-/// the sink. The contract mirrors the batch drivers exactly:
+/// the sink. The contract mirrors [`crawl_reference`]'s records exactly:
 ///
 /// * `page_begin(url)` opens a page; the events that follow belong to it.
 ///   A page that fails mid-retry produces `page_begin` → (zero events,
@@ -693,11 +486,10 @@ pub trait SiteSink: VisitSink {
     }
 }
 
-/// Crawls site `i` straight into a [`SiteSink`] — the fused analogue of
-/// the internal record builder. Seeds, frontier policy, and fault
-/// accounting are shared with the batch drivers (same [`drive_site`]), so
-/// a sink that reassembles trees observes byte-identical state to
-/// [`SiteRecord`].
+/// Crawls site `i` straight into a [`SiteSink`]. Seeds, frontier policy,
+/// and fault accounting are shared with [`crawl_reference`] (same
+/// [`drive_site`]), so a sink that reassembles trees observes
+/// byte-identical state to its [`SiteRecord`].
 pub fn crawl_one_site_sink<A: SiteSink>(
     web: &SyntheticWeb,
     config: &CrawlConfig,
@@ -706,15 +498,8 @@ pub fn crawl_one_site_sink<A: SiteSink>(
     sink: &mut A,
 ) {
     let site = &web.sites()[i];
-    let link_seed = mix(config.seed, web.config().era.site_stream(site.id as u64));
     let effective = effective_faults(web, config);
-    let fault_args = effective.as_ref().map(|profile| {
-        (
-            profile,
-            mix(config.seed, web.config().era.index()),
-            site.rank as u64,
-        )
-    });
+    let (link_seed, fault_args) = site_plan(web, config, i, effective.as_ref());
     let accounting = fault_args.is_some();
     sink.site_begin(site.id, &site.domain, site.rank);
     let site_faults = drive_site_sink(
@@ -730,11 +515,9 @@ pub fn crawl_one_site_sink<A: SiteSink>(
 }
 
 /// A [`SiteSink`] that reassembles full [`SiteRecord`]s from the event
-/// stream. It is both the proof that the fused driver delivers exactly
-/// the state the batch drivers record, and the adapter those drivers use:
-/// since the orchestrator refactor, *every* record-returning crawl runs
-/// [`crawl_one_site_sink`] into one of these, so the whole crawler shares
-/// a single streamed per-site driver.
+/// stream: the proof that the streamed driver delivers exactly the state
+/// [`crawl_reference`] records, and the sink a caller hands the
+/// orchestrator when it wants records rather than reductions.
 #[derive(Default)]
 pub struct RecordSink {
     records: Vec<SiteRecord>,
@@ -743,16 +526,6 @@ pub struct RecordSink {
 }
 
 impl RecordSink {
-    /// Completed records, in completion order.
-    pub fn records(&self) -> &[SiteRecord] {
-        &self.records
-    }
-
-    /// Consumes the sink, returning every completed record.
-    pub fn into_records(self) -> Vec<SiteRecord> {
-        self.records
-    }
-
     /// Removes and returns the oldest completed record. Per-site drivers
     /// drain the sink with this after each `site_end`.
     pub fn take_record(&mut self) -> Option<SiteRecord> {
@@ -813,277 +586,6 @@ impl SiteSink for RecordSink {
     }
 }
 
-/// Streaming crawl: like [`crawl_with_extensions`], but instead of
-/// collecting every inclusion tree in memory, each completed
-/// [`SiteRecord`] is handed to `sink` and dropped. This keeps memory flat
-/// for paper-scale universes (100K sites × 15 pages); aggregators in
-/// `sockscope-analysis` reduce records incrementally behind a lock.
-///
-/// Sites are *processed* in arbitrary order across threads; sinks must not
-/// depend on arrival order (the study's aggregations are all
-/// order-insensitive).
-pub fn crawl_streaming(
-    web: &SyntheticWeb,
-    config: &CrawlConfig,
-    make_extensions: &(dyn Fn() -> ExtensionHost + Sync),
-    sink: &(dyn Fn(SiteRecord) + Sync),
-) {
-    let n = web.sites().len();
-    let next = AtomicUsize::new(0);
-    let threads = config.threads.max(1);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let extensions = make_extensions();
-                let browser_config = BrowserConfig {
-                    seed: config.seed ^ web.config().seed,
-                    ..BrowserConfig::default()
-                };
-                let browser = Browser::new(web, extensions, browser_config);
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    sink(crawl_one_site(web, config, &browser, i));
-                }
-            });
-        }
-    });
-}
-
-/// Sharded crawl: the lock-free reduction driver.
-///
-/// Sites are partitioned into `shards` interleaved groups (shard `s` owns
-/// sites `i` with `i % shards == s`, so every shard sees the full rank
-/// spectrum). Worker threads claim whole shards from an atomic counter;
-/// the claiming worker builds the shard's private accumulator with
-/// `make_shard(s)` and folds every owned site into it with `observe` —
-/// exclusively, so the per-site hot path takes **no lock** and `observe`
-/// may do arbitrarily expensive classification without serializing other
-/// workers. Finished accumulators are returned in shard order; merging
-/// them left-to-right therefore yields the same result regardless of
-/// thread count or scheduling, provided `observe`/merge are
-/// order-insensitive up to the caller's normalization (see
-/// `CrawlReduction::merge` in `sockscope-analysis`).
-///
-/// `shards` is clamped to at least 1; passing `config.threads * k` for a
-/// small `k` (e.g. 4) gives good load balancing without losing the
-/// deterministic merge order.
-pub fn crawl_sharded<A: Send>(
-    web: &SyntheticWeb,
-    config: &CrawlConfig,
-    shards: usize,
-    make_extensions: &(dyn Fn() -> ExtensionHost + Sync),
-    make_shard: &(dyn Fn(usize) -> A + Sync),
-    observe: &(dyn Fn(&mut A, SiteRecord) + Sync),
-) -> Vec<A> {
-    crawl_sharded_resumable(
-        web,
-        config,
-        shards,
-        make_extensions,
-        make_shard,
-        observe,
-        &|_| false,
-        &|_, _| {},
-    )
-    .into_iter()
-    .map(|a| a.expect("every shard crawled"))
-    .collect()
-}
-
-/// Checkpoint-aware variant of [`crawl_sharded`], the substrate of the
-/// crash-safe crawl driver in `sockscope-analysis`.
-///
-/// Two extra hooks thread durability through the shard loop without
-/// putting any I/O on the per-site hot path:
-///
-/// * `skip(s)` — `true` when shard `s` was already recovered from a
-///   checkpoint journal; the shard is not crawled and its slot in the
-///   returned vector is `None` (the caller substitutes the recovered
-///   accumulator).
-/// * `persist(s, &acc)` — called by the owning worker the moment shard
-///   `s`'s accumulator is complete, *before* the crawl moves on. This is
-///   where the checkpointing driver serializes the shard to a durable
-///   journal segment. It runs outside the per-site loop, so persistence
-///   cost is amortized over a whole shard and never serializes other
-///   workers.
-///
-/// Determinism is unchanged: sites are partitioned exactly as in
-/// [`crawl_sharded`], per-site seeds do not depend on which shards are
-/// skipped, and the returned accumulators are in shard order. A crawl
-/// resumed over any subset of recovered shards therefore reduces to the
-/// same merged result as an uninterrupted run.
-#[allow(clippy::too_many_arguments)]
-pub fn crawl_sharded_resumable<A: Send>(
-    web: &SyntheticWeb,
-    config: &CrawlConfig,
-    shards: usize,
-    make_extensions: &(dyn Fn() -> ExtensionHost + Sync),
-    make_shard: &(dyn Fn(usize) -> A + Sync),
-    observe: &(dyn Fn(&mut A, SiteRecord) + Sync),
-    skip: &(dyn Fn(usize) -> bool + Sync),
-    persist: &(dyn Fn(usize, &A) + Sync),
-) -> Vec<Option<A>> {
-    let n = web.sites().len();
-    let shards = shards.max(1);
-    let next_shard = AtomicUsize::new(0);
-    let threads = config.threads.max(1).min(shards);
-
-    let mut out: Vec<Option<A>> = (0..shards).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let extensions = make_extensions();
-                    let browser_config = BrowserConfig {
-                        seed: config.seed ^ web.config().seed,
-                        ..BrowserConfig::default()
-                    };
-                    let browser = Browser::new(web, extensions, browser_config);
-                    let mut finished: Vec<(usize, A)> = Vec::new();
-                    loop {
-                        let s = next_shard.fetch_add(1, Ordering::Relaxed);
-                        if s >= shards {
-                            break;
-                        }
-                        if skip(s) {
-                            continue;
-                        }
-                        let mut acc = make_shard(s);
-                        let mut i = s;
-                        while i < n {
-                            observe(&mut acc, crawl_one_site(web, config, &browser, i));
-                            i += shards;
-                        }
-                        persist(s, &acc);
-                        finished.push((s, acc));
-                    }
-                    finished
-                })
-            })
-            .collect();
-        for worker in workers {
-            for (s, acc) in worker.join().expect("crawl worker") {
-                out[s] = Some(acc);
-            }
-        }
-    });
-    out
-}
-
-/// Fused sharded crawl: like [`crawl_sharded`], but each shard's
-/// accumulator is a [`SiteSink`] that consumes the event stream directly —
-/// no [`SiteRecord`] or per-page event buffer is ever materialized.
-/// Partitioning, seeds, and merge order are identical to the batch driver.
-pub fn crawl_sharded_sink<A: SiteSink + Send>(
-    web: &SyntheticWeb,
-    config: &CrawlConfig,
-    shards: usize,
-    make_extensions: &(dyn Fn() -> ExtensionHost + Sync),
-    make_shard: &(dyn Fn(usize) -> A + Sync),
-) -> Vec<A> {
-    crawl_sharded_sink_resumable(
-        web,
-        config,
-        shards,
-        make_extensions,
-        make_shard,
-        &|_| false,
-        &|_, _| {},
-    )
-    .into_iter()
-    .map(|a| a.expect("every shard crawled"))
-    .collect()
-}
-
-/// Checkpoint-aware variant of [`crawl_sharded_sink`], mirroring
-/// [`crawl_sharded_resumable`]: `skip(s)` elides shards already recovered
-/// from a journal (their slot comes back `None`), and `persist(s, &acc)`
-/// runs on the owning worker the moment shard `s` completes, off the
-/// per-site hot path. Shard ownership (`i % shards == s`) and per-site
-/// seeds are byte-identical to every other driver, so a resumed fused
-/// crawl merges to the same result as an uninterrupted batch one.
-pub fn crawl_sharded_sink_resumable<A: SiteSink + Send>(
-    web: &SyntheticWeb,
-    config: &CrawlConfig,
-    shards: usize,
-    make_extensions: &(dyn Fn() -> ExtensionHost + Sync),
-    make_shard: &(dyn Fn(usize) -> A + Sync),
-    skip: &(dyn Fn(usize) -> bool + Sync),
-    persist: &(dyn Fn(usize, &A) + Sync),
-) -> Vec<Option<A>> {
-    let n = web.sites().len();
-    let shards = shards.max(1);
-    let next_shard = AtomicUsize::new(0);
-    let threads = config.threads.max(1).min(shards);
-
-    let mut out: Vec<Option<A>> = (0..shards).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let extensions = make_extensions();
-                    let browser_config = BrowserConfig {
-                        seed: config.seed ^ web.config().seed,
-                        ..BrowserConfig::default()
-                    };
-                    let browser = Browser::new(web, extensions, browser_config);
-                    let mut finished: Vec<(usize, A)> = Vec::new();
-                    loop {
-                        let s = next_shard.fetch_add(1, Ordering::Relaxed);
-                        if s >= shards {
-                            break;
-                        }
-                        if skip(s) {
-                            continue;
-                        }
-                        let mut acc = make_shard(s);
-                        let mut i = s;
-                        while i < n {
-                            crawl_one_site_sink(web, config, &browser, i, &mut acc);
-                            i += shards;
-                        }
-                        persist(s, &acc);
-                        finished.push((s, acc));
-                    }
-                    finished
-                })
-            })
-            .collect();
-        for worker in workers {
-            for (s, acc) in worker.join().expect("crawl worker") {
-                out[s] = Some(acc);
-            }
-        }
-    });
-    out
-}
-
-/// Runs all four crawls of the study over one universe: two pre-patch, two
-/// post-patch (Table 1's four rows). The paper preset of
-/// [`timeline_crawls`].
-pub fn four_crawls(web: &SyntheticWeb, config: &CrawlConfig) -> Vec<CrawlDataset> {
-    timeline_crawls(web, config, &EraTimeline::paper())
-}
-
-/// Runs every crawl of an era timeline over one universe, in era order.
-pub fn timeline_crawls(
-    web: &SyntheticWeb,
-    config: &CrawlConfig,
-    timeline: &EraTimeline,
-) -> Vec<CrawlDataset> {
-    timeline
-        .eras()
-        .iter()
-        .map(|era| {
-            let web = web.for_era(era.clone());
-            crawl(&web, config)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1096,9 +598,9 @@ mod tests {
         })
     }
 
-    fn cfg() -> CrawlConfig {
+    fn faulted(faults: Option<FaultProfile>) -> CrawlConfig {
         CrawlConfig {
-            threads: 2,
+            faults,
             ..CrawlConfig::default()
         }
     }
@@ -1106,153 +608,48 @@ mod tests {
     #[test]
     fn crawl_visits_up_to_sixteen_pages_per_site() {
         let web = web(30);
-        let ds = crawl(&web, &cfg());
-        assert_eq!(ds.records.len(), 30);
-        for r in &ds.records {
+        let records = crawl_reference(&web, &CrawlConfig::default());
+        assert_eq!(records.len(), 30);
+        for r in &records {
             assert!(r.pages_visited() >= 1);
             assert!(r.pages_visited() <= 16, "{}", r.pages_visited());
         }
         // The generator produces 15 pages per site (homepage + 14
         // subpages), so the §3.3 cap of 16 is never binding here; the
         // crawler should exhaust the site instead.
-        assert!(ds.records.iter().any(|r| r.pages_visited() == 15));
-    }
-
-    #[test]
-    fn crawl_is_deterministic_across_thread_counts() {
-        let web = web(20);
-        let a = crawl(
-            &web,
-            &CrawlConfig {
-                threads: 1,
-                ..cfg()
-            },
-        );
-        let b = crawl(
-            &web,
-            &CrawlConfig {
-                threads: 4,
-                ..cfg()
-            },
-        );
-        assert_eq!(a.records.len(), b.records.len());
-        for (x, y) in a.records.iter().zip(&b.records) {
-            assert_eq!(x.domain, y.domain);
-            assert_eq!(x.trees.len(), y.trees.len());
-            for (tx, ty) in x.trees.iter().zip(&y.trees) {
-                assert_eq!(tx, ty);
-            }
-        }
-    }
-
-    #[test]
-    fn four_crawls_share_the_universe() {
-        let web = web(15);
-        let crawls = four_crawls(&web, &cfg());
-        assert_eq!(crawls.len(), 4);
-        assert!(crawls[0].era.pre_patch());
-        assert!(!crawls[3].era.pre_patch());
-        for ds in &crawls {
-            assert_eq!(ds.records.len(), 15);
-        }
-        assert_eq!(crawls[0].label, "Apr 02-05, 2017");
-        assert_eq!(crawls[3].label, "Oct 12-16, 2017");
+        assert!(records.iter().any(|r| r.pages_visited() == 15));
     }
 
     #[test]
     fn trees_have_valid_invariants() {
         let web = web(25);
-        let ds = crawl(&web, &cfg());
-        for tree in ds.trees() {
-            tree.check_invariants().unwrap();
-        }
-    }
-
-    #[test]
-    fn sharded_partitions_sites_and_matches_the_collecting_crawl() {
-        let web = web(37);
-        let config = CrawlConfig {
-            threads: 4,
-            ..cfg()
-        };
-        let shards = crawl_sharded(
-            &web,
-            &config,
-            5,
-            &|| ExtensionHost::stock(browser_era(&web.config().era)),
-            &|s| (s, Vec::new()),
-            &|acc: &mut (usize, Vec<SiteRecord>), record| acc.1.push(record),
-        );
-        assert_eq!(shards.len(), 5);
-        let reference = crawl(&web, &config);
-        let mut seen = 0usize;
-        for (s, records) in &shards {
-            for record in records {
-                // Interleaved ownership: shard s holds sites i ≡ s (mod 5).
-                assert_eq!(record.site_id % 5, *s);
-                let r = &reference.records[record.site_id];
-                assert_eq!(record.domain, r.domain);
-                assert_eq!(record.trees, r.trees);
-                seen += 1;
+        for r in crawl_reference(&web, &CrawlConfig::default()) {
+            for tree in &r.trees {
+                tree.check_invariants().unwrap();
             }
         }
-        assert_eq!(seen, 37, "every site crawled exactly once");
     }
 
     #[test]
     fn zero_rate_profile_is_identical_to_no_profile() {
         let web = web(20);
-        let plain = crawl(&web, &cfg());
-        let zeroed = crawl(
-            &web,
-            &CrawlConfig {
-                faults: Some(FaultProfile::none()),
-                ..cfg()
-            },
-        );
-        assert_eq!(plain.records.len(), zeroed.records.len());
-        for (a, b) in plain.records.iter().zip(&zeroed.records) {
+        let plain = crawl_reference(&web, &CrawlConfig::default());
+        let zeroed = crawl_reference(&web, &faulted(Some(FaultProfile::none())));
+        assert_eq!(plain.len(), zeroed.len());
+        for (a, b) in plain.iter().zip(&zeroed) {
             assert_eq!(a.trees, b.trees);
             assert_eq!(b.faults, None, "zero-rate profile must not account");
         }
     }
 
     #[test]
-    fn faulted_crawl_is_deterministic_across_thread_counts() {
-        let web = web(25);
-        let faulted = |threads: usize| {
-            crawl(
-                &web,
-                &CrawlConfig {
-                    threads,
-                    faults: Some(FaultProfile::heavy()),
-                    ..cfg()
-                },
-            )
-        };
-        let a = faulted(1);
-        let b = faulted(4);
-        assert_eq!(a.records.len(), b.records.len());
-        for (x, y) in a.records.iter().zip(&b.records) {
-            assert_eq!(x.trees, y.trees);
-            assert_eq!(x.faults, y.faults);
-        }
-    }
-
-    #[test]
     fn heavy_faults_degrade_but_never_panic() {
         let web = web(60);
-        let ds = crawl(
-            &web,
-            &CrawlConfig {
-                faults: Some(FaultProfile::heavy()),
-                ..cfg()
-            },
-        );
-        assert_eq!(ds.records.len(), 60);
+        let records = crawl_reference(&web, &faulted(Some(FaultProfile::heavy())));
+        assert_eq!(records.len(), 60);
         let mut retried = 0u64;
         let mut shortfall = 0usize;
-        for r in &ds.records {
+        for r in &records {
             let f = r.faults.as_ref().expect("faulted crawl must account");
             assert!(f.pages_attempted >= r.pages_visited() as u64);
             if f.abandoned {
@@ -1275,77 +672,35 @@ mod tests {
             faults: Some(FaultProfile::heavy()),
             ..WebGenConfig::default()
         });
-        let ds = crawl(&web, &cfg());
-        assert!(ds.records.iter().all(|r| r.faults.is_some()));
+        let records = crawl_reference(&web, &CrawlConfig::default());
+        assert!(records.iter().all(|r| r.faults.is_some()));
         // An explicit zero-rate override silences the universe profile.
-        let quiet = crawl(
-            &web,
-            &CrawlConfig {
-                faults: Some(FaultProfile::none()),
-                ..cfg()
-            },
-        );
-        assert!(quiet.records.iter().all(|r| r.faults.is_none()));
+        let quiet = crawl_reference(&web, &faulted(Some(FaultProfile::none())));
+        assert!(quiet.iter().all(|r| r.faults.is_none()));
     }
 
     #[test]
     fn reference_path_is_decision_identical_to_fused_path() {
         let web = web(25);
         for faults in [None, Some(FaultProfile::heavy())] {
-            let fused = crawl(
+            let config = faulted(faults);
+            let reference = crawl_reference(&web, &config);
+            let browser = crawl_browser(
                 &web,
-                &CrawlConfig {
-                    faults: faults.clone(),
-                    ..cfg()
-                },
+                &config,
+                ExtensionHost::stock(browser_era(&web.config().era)),
             );
-            let reference = crawl(
-                &web,
-                &CrawlConfig {
-                    faults,
-                    visit_reference: true,
-                    ..cfg()
-                },
-            );
-            assert_eq!(fused.records.len(), reference.records.len());
-            for (a, b) in fused.records.iter().zip(&reference.records) {
+            let mut sink = RecordSink::default();
+            for i in 0..web.sites().len() {
+                crawl_one_site_sink(&web, &config, &browser, i, &mut sink);
+            }
+            assert_eq!(sink.records.len(), reference.len());
+            for (a, b) in sink.records.iter().zip(&reference) {
+                assert_eq!(a.site_id, b.site_id);
                 assert_eq!(a.domain, b.domain);
                 assert_eq!(a.trees, b.trees);
                 assert_eq!(a.faults, b.faults);
             }
-        }
-    }
-
-    #[test]
-    fn sink_crawl_matches_the_collecting_crawl() {
-        let web = web(31);
-        for faults in [None, Some(FaultProfile::heavy())] {
-            let config = CrawlConfig {
-                threads: 4,
-                faults,
-                ..cfg()
-            };
-            let reference = crawl(&web, &config);
-            let shards = crawl_sharded_sink(
-                &web,
-                &config,
-                5,
-                &|| ExtensionHost::stock(browser_era(&web.config().era)),
-                &|_| RecordSink::default(),
-            );
-            assert_eq!(shards.len(), 5);
-            let mut seen = 0usize;
-            for (s, sink) in shards.iter().enumerate() {
-                for record in sink.records() {
-                    assert_eq!(record.site_id % 5, s);
-                    let r = &reference.records[record.site_id];
-                    assert_eq!(record.domain, r.domain);
-                    assert_eq!(record.trees, r.trees);
-                    assert_eq!(record.faults, r.faults);
-                    seen += 1;
-                }
-            }
-            assert_eq!(seen, 31, "every site crawled exactly once");
         }
     }
 
@@ -1433,18 +788,11 @@ mod tests {
         let web = web(25);
         for faults in [None, Some(FaultProfile::heavy())] {
             let heavy = faults.is_some();
-            let config = CrawlConfig {
-                threads: 1,
-                faults,
-                ..cfg()
-            };
-            let browser = Browser::new(
+            let config = faulted(faults);
+            let browser = crawl_browser(
                 &web,
+                &config,
                 ExtensionHost::stock(browser_era(&web.config().era)),
-                BrowserConfig {
-                    seed: config.seed ^ web.config().seed,
-                    ..BrowserConfig::default()
-                },
             );
             let mut total_aborts = 0u64;
             for i in 0..web.sites().len() {
@@ -1491,8 +839,9 @@ mod tests {
     fn some_site_has_sockets_eventually() {
         // With ~2–3% incidence, 400 sites should show a few socket users.
         let web = web(400);
-        let ds = crawl(&web, &cfg());
-        let frac = ds.fraction_sites_with_sockets();
+        let records = crawl_reference(&web, &CrawlConfig::default());
+        let with = records.iter().filter(|r| r.websocket_count() > 0).count();
+        let frac = with as f64 / records.len() as f64;
         assert!(frac > 0.0, "no sockets at all");
         assert!(frac < 0.15, "implausibly many socket sites: {frac}");
     }

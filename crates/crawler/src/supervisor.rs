@@ -276,8 +276,8 @@ pub fn supervise_site<C: SiteSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{browser_era, RecordSink};
-    use sockscope_browser::{BrowserConfig, ExtensionHost};
+    use crate::{browser_era, crawl_browser, RecordSink};
+    use sockscope_browser::ExtensionHost;
     use sockscope_webgen::WebGenConfig;
 
     fn web(n: usize, faults: Option<FaultProfile>) -> SyntheticWeb {
@@ -289,23 +289,17 @@ mod tests {
     }
 
     fn browser<'w>(web: &'w SyntheticWeb, config: &CrawlConfig) -> Browser<'w> {
-        Browser::new(
+        crawl_browser(
             web,
+            config,
             ExtensionHost::stock(browser_era(&web.config().era)),
-            BrowserConfig {
-                seed: config.seed ^ web.config().seed,
-                ..BrowserConfig::default()
-            },
         )
     }
 
     #[test]
     fn clean_sites_supervise_to_the_unsupervised_record() {
         let web = web(20, None);
-        let config = CrawlConfig {
-            threads: 1,
-            ..CrawlConfig::default()
-        };
+        let config = CrawlConfig::default();
         let browser = browser(&web, &config);
         for i in 0..web.sites().len() {
             let mut supervised = RecordSink::default();
@@ -326,10 +320,7 @@ mod tests {
     #[test]
     fn poisoned_sites_quarantine_and_leave_the_sink_empty() {
         let web = web(60, Some(FaultProfile::poison()));
-        let config = CrawlConfig {
-            threads: 1,
-            ..CrawlConfig::default()
-        };
+        let config = CrawlConfig::default();
         let browser = browser(&web, &config);
         let mut quarantined = Vec::new();
         let mut sink = RecordSink::default();
@@ -374,10 +365,7 @@ mod tests {
     #[test]
     fn every_reason_is_reachable_and_deterministic() {
         let web = web(120, Some(FaultProfile::poison()));
-        let config = CrawlConfig {
-            threads: 1,
-            ..CrawlConfig::default()
-        };
+        let config = CrawlConfig::default();
         let browser = browser(&web, &config);
         let run = || {
             let mut sink = RecordSink::default();
@@ -437,10 +425,7 @@ mod tests {
         }
 
         let web = web(3, None);
-        let config = CrawlConfig {
-            threads: 1,
-            ..CrawlConfig::default()
-        };
+        let config = CrawlConfig::default();
         let browser = browser(&web, &config);
         let mut sink = Bomb {
             inner: RecordSink::default(),
@@ -459,10 +444,7 @@ mod tests {
     #[test]
     fn hazard_free_profiles_never_quarantine() {
         let web = web(25, Some(FaultProfile::heavy()));
-        let config = CrawlConfig {
-            threads: 1,
-            ..CrawlConfig::default()
-        };
+        let config = CrawlConfig::default();
         let browser = browser(&web, &config);
         let mut sink = RecordSink::default();
         for i in 0..web.sites().len() {

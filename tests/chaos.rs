@@ -4,8 +4,8 @@
 //! The fault subsystem draws every decision from pure hashes of
 //! `(seed, site_rank, connection_id, attempt)` against a virtual clock, so
 //! an identical fault seed must yield a byte-identical snapshot across
-//! thread counts, shard counts, and reduction pipelines — and a zero-rate
-//! profile must be byte-identical to not injecting at all. A fixed-profile
+//! thread counts and shard partitions — and a zero-rate profile must be
+//! byte-identical to not injecting at all. A fixed-profile
 //! regression pins the exact failure counts on a small calibration web so
 //! any drift in the fault streams is caught, not just nondeterminism.
 
@@ -37,14 +37,6 @@ fn faulted_study_is_byte_identical_across_thread_counts() {
             "faulted study drifted at {threads} threads"
         );
     }
-}
-
-#[test]
-fn faulted_streaming_and_sharded_pipelines_are_byte_identical() {
-    let cfg = config(Some(FaultProfile::mild()), 4);
-    let sharded = snapshot_json(&Study::run(&cfg));
-    let streaming = snapshot_json(&Study::run_streaming(&cfg));
-    assert_eq!(sharded, streaming);
 }
 
 #[test]
@@ -106,7 +98,7 @@ fn failure_counts_are_exactly_reproducible() {
 fn failure_tables_merge_associatively_under_crawl_reduction() {
     use sockscope::analysis::reduce::CrawlReduction;
     use sockscope::analysis::PiiLibrary;
-    use sockscope::crawler::{browser_era, crawl_sharded, CrawlConfig};
+    use sockscope::crawler::{crawl_reference, CrawlConfig};
     use sockscope::filterlist::Engine;
     use sockscope::webgen::{SyntheticWeb, WebGenConfig};
 
@@ -118,26 +110,24 @@ fn failure_tables_merge_associatively_under_crawl_reduction() {
     assert!(errs.is_empty());
     let era = web.config().era.clone();
     let config = CrawlConfig {
-        threads: 4,
         faults: Some(FaultProfile::heavy()),
         ..CrawlConfig::default()
     };
 
-    let shards = crawl_sharded(
-        &web,
-        &config,
-        3,
-        &|| sockscope::browser::ExtensionHost::stock(browser_era(&era)),
-        &|_shard| {
+    // Interleaved three-way partition (site i to shard i % 3), each shard
+    // reduced with its own classification context.
+    let mut shards: Vec<(CrawlReduction, PiiLibrary)> = (0..3)
+        .map(|_| {
             (
                 CrawlReduction::new(era.label(), era.pre_patch()),
                 PiiLibrary::new(),
             )
-        },
-        &|acc: &mut (CrawlReduction, PiiLibrary), record| {
-            acc.0.observe_site(&record, &engine, &acc.1);
-        },
-    );
+        })
+        .collect();
+    for (i, record) in crawl_reference(&web, &config).into_iter().enumerate() {
+        let (reduction, lib) = &mut shards[i % 3];
+        reduction.observe_site(&record, &engine, lib);
+    }
     let [a, b, c]: [CrawlReduction; 3] = shards
         .into_iter()
         .map(|(reduction, _lib)| reduction)

@@ -211,15 +211,6 @@ fn resume_under_a_different_thread_count_keeps_the_partition() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `config()` runs the default work-stealing orchestrator; this pins the
-/// static shard-per-thread driver so the matrix keeps covering it too.
-fn static_config(threads: usize) -> StudyConfig {
-    StudyConfig {
-        orchestrated: false,
-        ..config(threads)
-    }
-}
-
 #[test]
 fn orchestrator_kill_points_resume_byte_identical() {
     // Under the orchestrator a shard persists the moment the reducer folds
@@ -262,62 +253,6 @@ fn orchestrator_kill_points_resume_byte_identical() {
         );
         std::fs::remove_dir_all(&dir).ok();
     }
-}
-
-#[test]
-fn a_journal_resumes_across_crawl_drivers() {
-    // The drivers share the journal format, the config fingerprint, and
-    // the `i % shard_count` partition, so a crawl killed under one driver
-    // must resume under the other — in both directions — byte-identically.
-    let baseline = snapshot_json(&Study::run(&config(2)));
-    let shards = 8usize;
-    let kill = KillPlan {
-        era: 1,
-        shard: 4,
-        point: KillPoint::PostTemp,
-        seed: 0xC05,
-    };
-
-    // Killed orchestrated, resumed static.
-    let dir = tmpdir("orch-to-static");
-    run_killed(&config(4), &dir, shards, kill);
-    let (study, report) =
-        Study::run_checkpointed(&static_config(4), &CheckpointOptions::resume(&dir)).unwrap();
-    assert_eq!(snapshot_json(&study), baseline, "orchestrated -> static");
-    assert!(report.shards_recovered >= shards, "{report:?}");
-    std::fs::remove_dir_all(&dir).ok();
-
-    // Killed static, resumed orchestrated.
-    let dir = tmpdir("static-to-orch");
-    run_killed(&static_config(4), &dir, shards, kill);
-    let (study, report) =
-        Study::run_checkpointed(&config(4), &CheckpointOptions::resume(&dir)).unwrap();
-    assert_eq!(snapshot_json(&study), baseline, "static -> orchestrated");
-    assert!(report.shards_recovered >= shards, "{report:?}");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn static_driver_kill_and_resume_still_works() {
-    // The orchestrator is the default, which makes this the only place the
-    // static driver's checkpoint path is exercised under a kill — keep it
-    // covered so `--static-shards --resume` cannot rot.
-    let dir = tmpdir("static-driver");
-    let kill = KillPlan {
-        era: 2,
-        shard: 1,
-        point: KillPoint::MidSegment,
-        seed: 99,
-    };
-    run_killed(&static_config(2), &dir, 4, kill);
-    let (study, report) =
-        Study::run_checkpointed(&static_config(2), &CheckpointOptions::resume(&dir)).unwrap();
-    assert_eq!(
-        snapshot_json(&study),
-        snapshot_json(&Study::run(&config(2)))
-    );
-    assert!(!report.quarantined.is_empty());
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

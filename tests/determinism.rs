@@ -1,6 +1,8 @@
 //! Reproducibility guarantees: identical seeds produce identical studies,
-//! regardless of thread count, shard count, or reduction pipeline;
-//! different seeds differ.
+//! regardless of thread count; different seeds differ. The orchestrator's
+//! wider scheduling matrix and its diff against the reference oracle live
+//! in `orchestrator_identity.rs`; shard-partition invariance of the
+//! reduction lives in `proptests.rs` and `crash_recovery.rs`.
 
 use sockscope::analysis::snapshot::StudySnapshot;
 use sockscope::{Study, StudyConfig};
@@ -59,8 +61,8 @@ fn snapshot_json(study: &Study) -> String {
 
 #[test]
 fn sharded_study_is_byte_identical_across_thread_counts() {
-    // threads also scales the shard count (shards = threads * 4), so this
-    // exercises 4, 16, and 32 shards.
+    // threads sets the orchestrator's worker count, so this exercises 1,
+    // 4, and 8 workers stealing from each other.
     let baseline = snapshot_json(&run(42, 1));
     for threads in [4, 8] {
         assert_eq!(
@@ -68,71 +70,6 @@ fn sharded_study_is_byte_identical_across_thread_counts() {
             snapshot_json(&run(42, threads)),
             "sharded study drifted at {threads} threads"
         );
-    }
-}
-
-#[test]
-fn streaming_and_sharded_pipelines_are_byte_identical() {
-    let config = StudyConfig {
-        seed: 42,
-        n_sites: 120,
-        threads: 4,
-        ..StudyConfig::default()
-    };
-    let sharded = snapshot_json(&Study::run(&config));
-    let streaming = snapshot_json(&Study::run_streaming(&config));
-    assert_eq!(sharded, streaming);
-}
-
-#[test]
-fn sharded_crawl_is_invariant_across_shard_counts() {
-    use sockscope::analysis::reduce::CrawlReduction;
-    use sockscope::analysis::PiiLibrary;
-    use sockscope::crawler::{browser_era, crawl_sharded, CrawlConfig};
-    use sockscope::filterlist::Engine;
-    use sockscope::webgen::{SyntheticWeb, WebGenConfig};
-
-    let web = SyntheticWeb::new(WebGenConfig {
-        n_sites: 60,
-        ..WebGenConfig::default()
-    });
-    let (engine, errs) = Engine::parse_many(&[&web.easylist(), &web.easyprivacy()]);
-    assert!(errs.is_empty());
-    let era = web.config().era.clone();
-    let config = CrawlConfig {
-        threads: 4,
-        ..CrawlConfig::default()
-    };
-
-    let reduce = |shards: usize| -> CrawlReduction {
-        let mut reduction = crawl_sharded(
-            &web,
-            &config,
-            shards,
-            &|| sockscope::browser::ExtensionHost::stock(browser_era(&era)),
-            &|_shard| {
-                (
-                    CrawlReduction::new(era.label(), era.pre_patch()),
-                    PiiLibrary::new(),
-                )
-            },
-            &|acc: &mut (CrawlReduction, PiiLibrary), record| {
-                acc.0.observe_site(&record, &engine, &acc.1);
-            },
-        )
-        .into_iter()
-        .map(|(reduction, _lib)| reduction)
-        .fold(
-            CrawlReduction::new(era.label(), era.pre_patch()),
-            CrawlReduction::merge,
-        );
-        reduction.normalize();
-        reduction
-    };
-
-    let baseline = reduce(1);
-    for shards in [3, 7, 16, 64] {
-        assert_eq!(baseline, reduce(shards), "drift at {shards} shards");
     }
 }
 

@@ -1,12 +1,15 @@
 //! Orchestrator identity: the work-stealing pipelined crawl driver must be
-//! **scheduling invisible** — byte-identical study snapshots to the static
-//! shard-per-thread driver, at every worker count, every queue depth, with
-//! and without fault injection, and under a seeded adversarial scheduler
-//! that maximizes steals and backpressure stalls.
+//! **scheduling invisible** — byte-identical study snapshots to the serial
+//! record-materializing reference oracle (`support::run_reference`), at
+//! every worker count, every queue depth, with and without fault
+//! injection, and under a seeded adversarial scheduler that maximizes
+//! steals and backpressure stalls.
 //!
 //! The fault-free matrix additionally pins the snapshot to the same CRC as
 //! `snapshot_regression.rs`/`stream_identity.rs`, so the matrix can never
-//! "pass" by the orchestrated and static drivers drifting together.
+//! "pass" by the orchestrator and the oracle drifting together.
+
+mod support;
 
 use sockscope::analysis::snapshot::StudySnapshot;
 use sockscope::{Study, StudyConfig};
@@ -39,7 +42,6 @@ fn faulted_config() -> StudyConfig {
 
 fn orchestrated_snapshot(base: &StudyConfig, workers: usize, queue_depth: usize) -> String {
     let config = StudyConfig {
-        orchestrated: true,
         workers: Some(workers),
         queue_depth,
         ..base.clone()
@@ -71,7 +73,7 @@ fn orchestrated_matches_static_shards_under_heavy_faults() {
     // Faults change per-site wall time wildly, which reshuffles which
     // worker crawls what and how often the reducer stalls — exactly the
     // schedules where a reorder bug would surface.
-    let reference = StudySnapshot::capture(&Study::run_static_shards(&faulted_config())).to_json();
+    let reference = StudySnapshot::capture(&support::run_reference(&faulted_config())).to_json();
     for (workers, queue_depth) in [(1, 1), (4, 16), (8, 256)] {
         let orchestrated = orchestrated_snapshot(&faulted_config(), workers, queue_depth);
         assert_eq!(
@@ -83,9 +85,9 @@ fn orchestrated_matches_static_shards_under_heavy_faults() {
 
 #[test]
 fn orchestrated_matches_the_record_materializing_reference() {
-    // Zero-fault differential against the *other* locked pipeline: the
-    // buffering `visit_reference` browser path with batch reduction. This
-    // crosses both the driver boundary and the fusion boundary at once.
+    // Zero-fault differential against the oracle: serial buffered browser
+    // visits with batch reduction. This crosses both the driver boundary
+    // and the fusion boundary at once.
     let config = StudyConfig {
         seed: 0xD15C,
         n_sites: 80,
@@ -94,7 +96,7 @@ fn orchestrated_matches_the_record_materializing_reference() {
         ..StudyConfig::default()
     };
     let orchestrated = StudySnapshot::capture(&Study::run(&config)).to_json();
-    let reference = StudySnapshot::capture(&Study::run_reference(&config)).to_json();
+    let reference = StudySnapshot::capture(&support::run_reference(&config)).to_json();
     assert_eq!(orchestrated, reference);
 }
 
@@ -104,7 +106,7 @@ fn adversarial_steal_and_backpressure_schedules_cannot_move_a_byte() {
     // steal-first and injects yields between claim and admission, while a
     // depth-1 queue and the tightest admission window maximize
     // backpressure stalls and unclaim/retry churn. Every schedule must
-    // reduce to the very bytes the static driver produces.
+    // reduce to the very bytes the reference oracle produces.
     let config = StudyConfig {
         seed: 0xD15C,
         n_sites: 60,
@@ -119,20 +121,7 @@ fn adversarial_steal_and_backpressure_schedules_cannot_move_a_byte() {
     let make_extensions =
         || sockscope_browser::ExtensionHost::stock(sockscope_crawler::browser_era(&era.into()));
 
-    let mut reference = sockscope_crawler::crawl_sharded_sink(
-        &era_web,
-        &crawl_config,
-        4,
-        &make_extensions,
-        &|_shard| FusedShard::new(era.label(), era.pre_patch(), &engine),
-    )
-    .into_iter()
-    .map(FusedShard::into_reduction)
-    .fold(
-        CrawlReduction::new(era.label(), era.pre_patch()),
-        CrawlReduction::merge,
-    );
-    reference.normalize();
+    let reference = support::reference_reduction(&era_web, &engine, &crawl_config);
 
     for chaos_seed in [1, 0xBAD_5EED, u64::MAX] {
         let orch = OrchestratorConfig {

@@ -486,7 +486,7 @@ proptest! {
 /// Shared crawl fixture for the merge properties: records are expensive to
 /// produce and the properties only ever *reduce* them.
 mod shard_fixture {
-    use sockscope::crawler::{crawl, CrawlConfig, SiteRecord};
+    use sockscope::crawler::{crawl_reference, CrawlConfig, SiteRecord};
     use sockscope::filterlist::Engine;
     use sockscope::webgen::{SyntheticWeb, WebGenConfig};
     use std::sync::OnceLock;
@@ -509,17 +509,11 @@ mod shard_fixture {
             });
             let (engine, errs) = Engine::parse_many(&[&web.easylist(), &web.easyprivacy()]);
             assert!(errs.is_empty(), "generated lists must parse");
-            let dataset = crawl(
-                &web,
-                &CrawlConfig {
-                    threads: 2,
-                    ..CrawlConfig::default()
-                },
-            );
+            let era = &web.config().era;
             Fixture {
-                label: dataset.label.clone(),
-                pre_patch: dataset.era.pre_patch(),
-                records: dataset.records,
+                label: era.label().to_string(),
+                pre_patch: era.pre_patch(),
+                records: crawl_reference(&web, &CrawlConfig::default()),
                 engine,
             }
         })

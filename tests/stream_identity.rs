@@ -4,11 +4,13 @@
 //! reference path, at every thread count, with and without fault
 //! injection.
 //!
-//! [`Study::run`] drives the fused sink pipeline; [`Study::run_reference`]
-//! drives the same crawl with the browser on its buffering
-//! `visit_reference` path and full `SiteRecord`s reduced in batch. Any
-//! divergence means stream fusion changed a classification, attribution,
-//! or accounting decision — not just where its bytes lived.
+//! [`Study::run`] drives the fused sink pipeline; `support::run_reference`
+//! crawls the same universe serially with the browser's buffering visit
+//! path and reduces full `SiteRecord`s in batch. Any divergence means
+//! stream fusion changed a classification, attribution, or accounting
+//! decision — not just where its bytes lived.
+
+mod support;
 
 use sockscope::analysis::snapshot::StudySnapshot;
 use sockscope::{Study, StudyConfig};
@@ -29,10 +31,10 @@ fn pinned_config(threads: usize) -> StudyConfig {
 
 #[test]
 fn fused_and_reference_snapshots_are_byte_identical_across_thread_counts() {
+    // The reference crawl is serial, so one run serves every thread count.
+    let reference = StudySnapshot::capture(&support::run_reference(&pinned_config(1))).to_json();
     for threads in [1, 4, 8] {
-        let config = pinned_config(threads);
-        let fused = StudySnapshot::capture(&Study::run(&config)).to_json();
-        let reference = StudySnapshot::capture(&Study::run_reference(&config)).to_json();
+        let fused = StudySnapshot::capture(&Study::run(&pinned_config(threads))).to_json();
         assert_eq!(
             fused, reference,
             "fused and reference snapshots diverged at {threads} threads"
@@ -65,6 +67,6 @@ fn fused_and_reference_agree_under_fault_injection() {
         ..StudyConfig::default()
     };
     let fused = StudySnapshot::capture(&Study::run(&config)).to_json();
-    let reference = StudySnapshot::capture(&Study::run_reference(&config)).to_json();
+    let reference = StudySnapshot::capture(&support::run_reference(&config)).to_json();
     assert_eq!(fused, reference);
 }
