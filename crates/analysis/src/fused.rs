@@ -12,13 +12,13 @@
 //! reduction of a materialized [`SiteRecord`](sockscope_crawler::SiteRecord)
 //! while bounding per-page memory by the tree's *structure* alone.
 //!
-//! ## Intern lifetime rules
+//! ## Page lifetime rules
 //!
-//! All interned state — the tree builder's URL→host arena and the eager
-//! side tables keyed by [`NodeId`] — is scoped to a single page and
-//! dropped at `page_end`/`page_abort`. Nothing symbol-valued survives into
-//! the [`CrawlReduction`], which stores only resolved strings; this is
-//! what lets shards merge across threads without any shared symbol table.
+//! All per-page state — the tree builder with its parsed node URLs and
+//! the eager side tables keyed by [`NodeId`] — is scoped to a single page
+//! and dropped at `page_end`/`page_abort`. Nothing page-scoped survives
+//! into the [`CrawlReduction`], which stores only resolved strings; this
+//! is what lets shards merge across threads without any shared table.
 
 use crate::pii::{PiiLibrary, ReceivedClass};
 use crate::reduce::{CrawlReduction, PayloadSource, WsPayloadSummary};
@@ -131,12 +131,13 @@ impl VisitSink for FusedShard<'_> {
                 status,
                 mime_type,
                 body,
-                sent_ground_truth,
+                ..
             } => {
                 // Classify the body now, for the node kinds whose body the
                 // reducer will read; forward the event with the body
                 // stripped so the node keeps its `Some(..)` presence (the
-                // "a response arrived" fact) without the bytes.
+                // "a response arrived" fact) without the bytes. The ground
+                // truth is stripped too: no reducer reads it.
                 if let Some(id) = page.builder.node_for_request(request_id) {
                     if matches!(page.builder.node(id).kind, NodeKind::Image | NodeKind::Xhr) {
                         page.recv_class
@@ -149,7 +150,7 @@ impl VisitSink for FusedShard<'_> {
                     status,
                     mime_type,
                     body: Cow::Borrowed(&[]),
-                    sent_ground_truth,
+                    sent_ground_truth: Cow::Borrowed(&[]),
                 });
             }
             CdpEvent::WebSocketWillSendHandshakeRequest {

@@ -23,7 +23,6 @@ use serde::{de, Deserialize, Serialize, Value};
 use sockscope_crawler::{SiteFaults, SiteRecord};
 use sockscope_filterlist::{Engine, RequestContext, ResourceType};
 use sockscope_inclusion::{InclusionTree, Node, NodeKind};
-use sockscope_urlkit::Url;
 use sockscope_webmodel::SentItem;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -100,14 +99,7 @@ impl PayloadSource for TranscriptPayloads {
                 continue;
             }
             received_frames += 1;
-            let bytes = match frame.as_text() {
-                Some(t) => t.as_bytes().to_vec(),
-                None => match frame {
-                    sockscope_inclusion::tree::PayloadRecord::Binary(b) => b.clone(),
-                    _ => unreachable!(),
-                },
-            };
-            if let Some(class) = lib.classify_received(&bytes) {
+            if let Some(class) = lib.classify_received(frame.as_bytes()) {
                 received_classes.insert(class);
             }
         }
@@ -468,7 +460,8 @@ impl CrawlReduction {
         lib: &PiiLibrary,
         payloads: &dyn PayloadSource,
     ) -> usize {
-        let page = Url::parse(&tree.page_url).ok();
+        // Every URL below is the tree builder's one parse of it.
+        let page = tree.url(tree.root().id);
         let mut sockets = 0usize;
 
         // Precompute per-node "would the lists block this node itself".
@@ -481,11 +474,11 @@ impl CrawlReduction {
                 NodeKind::Xhr => ResourceType::Xhr,
                 _ => continue,
             };
-            let (Some(page), Ok(url)) = (page.as_ref(), Url::parse(&node.url)) else {
+            let (Some(page), Some(url)) = (page, tree.url(node.id)) else {
                 continue;
             };
             node_blocked[i] = engine.blocks(&RequestContext {
-                url: &url,
+                url,
                 page,
                 resource_type: rtype,
             });
@@ -591,8 +584,8 @@ impl CrawlReduction {
                         .find(|c| c.kind == NodeKind::Script)
                         .map(|c| c.host.clone())
                         .unwrap_or_else(|| tree.root().host.clone());
-                    let cross_origin = match (&page, Url::parse(&node.url)) {
-                        (Some(p), Ok(u)) => sockscope_urlkit::origin::is_third_party(p, &u),
+                    let cross_origin = match (page, tree.url(node.id)) {
+                        (Some(p), Some(u)) => sockscope_urlkit::origin::is_third_party(p, u),
                         _ => true,
                     };
                     let WsPayloadSummary {

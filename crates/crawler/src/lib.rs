@@ -230,12 +230,17 @@ fn drive_site(
                     }
                     visited.push(url.to_string());
                     for link in &v.links {
-                        // Same-site links only, unseen only.
+                        // Unseen, same-site links only. The membership
+                        // checks come first: they are cheaper than a parse
+                        // and most links repeat ones already queued.
+                        if visited.contains(link) || frontier.contains(link) {
+                            continue;
+                        }
                         let same_site = sockscope_urlkit::Url::parse(link)
                             .ok()
                             .and_then(|u| u.second_level_domain().map(|d| d == site_domain))
                             .unwrap_or(false);
-                        if same_site && !visited.contains(link) && !frontier.contains(link) {
+                        if same_site {
                             frontier.push(link.clone());
                         }
                     }

@@ -3,7 +3,7 @@
 
 use crate::tree::{InclusionTree, Node, NodeKind};
 use sockscope_filterlist::AaDomainSet;
-use sockscope_urlkit::{second_level_domain, Url};
+use sockscope_urlkit::second_level_domain;
 
 /// Attribution facts for one WebSocket node.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,13 +60,9 @@ fn attribute_one(tree: &InclusionTree, socket: &Node, aa: &AaDomainSet) -> Socke
         .unwrap_or_else(|| tree.root().host.clone());
     let initiator = aa.aggregation_key(&initiator_host);
     let chain_domains: Vec<String> = chain.iter().map(|n| aa.aggregation_key(&n.host)).collect();
-    let cross_origin = {
-        let page = Url::parse(&tree.page_url).ok();
-        let sock = Url::parse(&socket.url).ok();
-        match (page, sock) {
-            (Some(p), Some(s)) => sockscope_urlkit::origin::is_third_party(&p, &s),
-            _ => second_level_domain(&tree.root().host) != second_level_domain(&socket.host),
-        }
+    let cross_origin = match (tree.url(tree.root().id), tree.url(socket.id)) {
+        (Some(p), Some(s)) => sockscope_urlkit::origin::is_third_party(p, s),
+        _ => second_level_domain(&tree.root().host) != second_level_domain(&socket.host),
     };
     // Ancestors only (exclude the socket's own endpoint domain).
     let aa_initiated = chain

@@ -15,15 +15,15 @@ use sockscope_urlkit::Url;
 /// been blocked by `engine`? This mirrors the paper's "compare the rule
 /// lists to our chains post-hoc" procedure.
 pub fn chain_blocked(tree: &InclusionTree, node: NodeId, engine: &Engine) -> bool {
-    let Some(page) = Url::parse(&tree.page_url).ok() else {
+    let Some(page) = tree.url(tree.root().id) else {
         return false;
     };
     tree.chain(node)
         .iter()
-        .any(|n| node_blocked(n, &page, engine))
+        .any(|n| node_blocked(tree, n, page, engine))
 }
 
-fn node_blocked(node: &Node, page: &Url, engine: &Engine) -> bool {
+fn node_blocked(tree: &InclusionTree, node: &Node, page: &Url, engine: &Engine) -> bool {
     let rtype = match node.kind {
         NodeKind::Script => ResourceType::Script,
         NodeKind::Image => ResourceType::Image,
@@ -31,11 +31,11 @@ fn node_blocked(node: &Node, page: &Url, engine: &Engine) -> bool {
         NodeKind::WebSocket => return false, // sockets themselves are the WRB question
         _ => return false,
     };
-    let Ok(url) = Url::parse(&node.url) else {
+    let Some(url) = tree.url(node.id) else {
         return false;
     };
     engine.blocks(&RequestContext {
-        url: &url,
+        url,
         page,
         resource_type: rtype,
     })

@@ -6,11 +6,11 @@
 //! The batch entry point is itself implemented as a streaming build, so
 //! the two can never diverge.
 
-use serde::{Deserialize, Serialize};
+use serde::{de, Deserialize, Serialize, Value};
 use sockscope_browser::{
     CdpEvent, FrameId, FramePayload, Initiator, RequestId, ResourceKind, ScriptId, VisitSink,
 };
-use sockscope_intern::HostCache;
+use sockscope_urlkit::Url;
 use std::collections::HashMap;
 
 /// Index of a node within its tree.
@@ -68,6 +68,14 @@ impl PayloadRecord {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// The payload bytes, borrowed (text frames as their UTF-8).
+    pub fn as_bytes(&self) -> &[u8] {
+        match self {
+            PayloadRecord::Text(s) => s.as_bytes(),
+            PayloadRecord::Binary(b) => b,
+        }
+    }
 }
 
 fn record(p: &FramePayload) -> PayloadRecord {
@@ -115,17 +123,52 @@ pub struct Node {
     /// HTTP response body, for HTTP-fetched nodes (used by content analysis
     /// of HTTP/S, Table 5's comparison columns).
     pub http_body: Option<Vec<u8>>,
-    /// Ground-truth sent items for HTTP nodes (tests only; the analyzer
-    /// works from the URL/body text).
+    /// Ground-truth sent items for HTTP nodes. Filled only on the
+    /// reference path (batch builds over a buffered stream); the fused
+    /// pipeline forwards responses with this stripped, and nothing in the
+    /// analyzer reads it — classification works from the URL/body text.
     pub http_sent_ground_truth: Vec<sockscope_webmodel::SentItem>,
 }
 
 /// An inclusion tree for one page visit.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Alongside its nodes the tree carries each node's parsed URL, so every
+/// consumer (the reducer, blocking, attribution) reads one parse made by
+/// the builder instead of re-parsing the URL text. Invariant:
+/// `urls[i] == Url::parse(&nodes[i].url).ok()`.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InclusionTree {
     /// The visited page URL.
     pub page_url: String,
     nodes: Vec<Node>,
+    urls: Vec<Option<Url>>,
+}
+
+// Hand-written serde (the vendored derive cannot skip a field): the JSON
+// carries `page_url` and `nodes` only, and loading rebuilds the parses
+// from the node URLs.
+impl Serialize for InclusionTree {
+    fn to_value(&self) -> Value {
+        Value::Obj(vec![
+            ("page_url".to_string(), self.page_url.to_value()),
+            ("nodes".to_string(), self.nodes.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for InclusionTree {
+    fn from_value(v: &Value) -> Result<InclusionTree, de::Error> {
+        const CTX: &str = "InclusionTree";
+        let obj = de::expect_obj(v, CTX)?;
+        let page_url = de::field(obj, "page_url", CTX)?;
+        let nodes: Vec<Node> = de::field(obj, "nodes", CTX)?;
+        let urls = nodes.iter().map(|n| Url::parse(&n.url).ok()).collect();
+        Ok(InclusionTree {
+            page_url,
+            nodes,
+            urls,
+        })
+    }
 }
 
 impl InclusionTree {
@@ -152,6 +195,12 @@ impl InclusionTree {
     /// Node lookup.
     pub fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id.0]
+    }
+
+    /// A node's parsed URL, or `None` when its URL text does not parse.
+    /// The root's is the page's.
+    pub fn url(&self, id: NodeId) -> Option<&Url> {
+        self.urls[id.0].as_ref()
     }
 
     /// All nodes in creation order.
@@ -221,12 +270,19 @@ impl InclusionTree {
     }
 
     /// Tree invariants, checked by tests and property tests: exactly one
-    /// root, parent/child pointers consistent, acyclic by construction.
+    /// root, parent/child pointers consistent, acyclic by construction,
+    /// and each carried URL parse equal to a fresh parse of the node URL.
     pub fn check_invariants(&self) -> Result<(), String> {
         if self.nodes.is_empty() {
             return Err("empty tree".into());
         }
+        if self.urls.len() != self.nodes.len() {
+            return Err("parsed URLs not parallel to nodes".into());
+        }
         for (i, n) in self.nodes.iter().enumerate() {
+            if self.urls[i] != Url::parse(&n.url).ok() {
+                return Err(format!("node {i}: carried URL parse differs from its text"));
+            }
             if n.id.0 != i {
                 return Err(format!("node {i} has mismatched id {:?}", n.id));
             }
@@ -264,9 +320,9 @@ impl InclusionTree {
 /// identical to a batch build over the same events — the batch entry point
 /// is implemented on top of this type.
 ///
-/// Hostnames are derived through a per-visit [`HostCache`] arena, so a page
-/// that references the same origin thousands of times parses each distinct
-/// URL once.
+/// Each node's URL is parsed exactly once, here: the parse supplies the
+/// node's `host` and travels with the finished tree (see
+/// [`InclusionTree::url`]), so no consumer parses a node URL again.
 pub struct TreeBuilder {
     page_url: String,
     nodes: Vec<Node>,
@@ -276,8 +332,8 @@ pub struct TreeBuilder {
     /// Frame nodes created from subframe Document requests, waiting for
     /// their `frameNavigated` to bind the frame id (keyed by URL).
     pending_docs: HashMap<String, NodeId>,
-    /// Per-visit URL → host memo (symbol arena; dropped with the builder).
-    hosts: HostCache,
+    /// Parsed node URLs, parallel to `nodes`.
+    urls: Vec<Option<Url>>,
 }
 
 impl TreeBuilder {
@@ -291,20 +347,9 @@ impl TreeBuilder {
             by_frame: HashMap::new(),
             by_request: HashMap::new(),
             pending_docs: HashMap::new(),
-            hosts: HostCache::new(),
+            urls: Vec::new(),
         };
-        let host = b.hosts.host(page_url).to_string();
-        let root = b.push_node(Node {
-            id: NodeId(0),
-            url: page_url.to_string(),
-            host,
-            kind: NodeKind::Page,
-            parent: None,
-            children: Vec::new(),
-            ws: None,
-            http_body: None,
-            http_sent_ground_truth: Vec::new(),
-        });
+        let root = b.push_node(page_url, NodeKind::Page, None);
         b.by_frame.insert(FrameId(0), root);
         b
     }
@@ -314,6 +359,7 @@ impl TreeBuilder {
         InclusionTree {
             page_url: self.page_url,
             nodes: self.nodes,
+            urls: self.urls,
         }
     }
 
@@ -340,13 +386,26 @@ impl TreeBuilder {
         &self.nodes[id.0]
     }
 
-    fn push_node(&mut self, mut node: Node) -> NodeId {
+    /// Appends a node, parsing its URL — the tree's one parse of it.
+    fn push_node(&mut self, url: &str, kind: NodeKind, parent: Option<NodeId>) -> NodeId {
         let id = NodeId(self.nodes.len());
-        node.id = id;
-        if let Some(p) = node.parent {
+        let parsed = Url::parse(url).ok();
+        let host = parsed.as_ref().map_or("", Url::host_str).to_string();
+        if let Some(p) = parent {
             self.nodes[p.0].children.push(id);
         }
-        self.nodes.push(node);
+        self.nodes.push(Node {
+            id,
+            url: url.to_string(),
+            host,
+            kind,
+            parent,
+            children: Vec::new(),
+            ws: None,
+            http_body: None,
+            http_sent_ground_truth: Vec::new(),
+        });
+        self.urls.push(parsed);
         id
     }
 
@@ -355,21 +414,6 @@ impl TreeBuilder {
             Initiator::Parser(frame) => self.by_frame.get(&frame).copied().unwrap_or(root),
             Initiator::Script(sid) => self.by_script.get(&sid).copied().unwrap_or(root),
         }
-    }
-
-    fn new_node(&mut self, url: &str, kind: NodeKind, parent: NodeId) -> NodeId {
-        let host = self.hosts.host(url).to_string();
-        self.push_node(Node {
-            id: NodeId(0),
-            url: url.to_string(),
-            host,
-            kind,
-            parent: Some(parent),
-            children: Vec::new(),
-            ws: None,
-            http_body: None,
-            http_sent_ground_truth: Vec::new(),
-        })
     }
 
     /// Applies one CDP event to the tree under construction.
@@ -395,7 +439,7 @@ impl TreeBuilder {
                 let parent = parent_frame_id
                     .and_then(|p| self.by_frame.get(&p).copied())
                     .unwrap_or(root);
-                let id = self.new_node(url, NodeKind::Frame, parent);
+                let id = self.push_node(url, NodeKind::Frame, Some(parent));
                 self.by_frame.insert(*frame_id, id);
             }
             CdpEvent::ScriptParsed {
@@ -405,7 +449,7 @@ impl TreeBuilder {
                 ..
             } => {
                 let parent = self.parent_of(*initiator, root);
-                let id = self.new_node(url, NodeKind::Script, parent);
+                let id = self.push_node(url, NodeKind::Script, Some(parent));
                 self.by_script.insert(*script_id, id);
             }
             CdpEvent::RequestWillBeSent {
@@ -426,7 +470,7 @@ impl TreeBuilder {
                             return;
                         }
                         let parent = self.parent_of(*initiator, root);
-                        let id = self.new_node(url, NodeKind::Frame, parent);
+                        let id = self.push_node(url, NodeKind::Frame, Some(parent));
                         self.pending_docs.insert(url.as_ref().to_owned(), id);
                         self.by_request.insert(*request_id, id);
                         return;
@@ -436,7 +480,7 @@ impl TreeBuilder {
                     ResourceKind::Script | ResourceKind::WebSocket => return,
                 };
                 let parent = self.parent_of(*initiator, root);
-                let id = self.new_node(url, kind, parent);
+                let id = self.push_node(url, kind, Some(parent));
                 self.by_request.insert(*request_id, id);
             }
             CdpEvent::ResponseReceived {
@@ -457,7 +501,7 @@ impl TreeBuilder {
                 ..
             } => {
                 let parent = self.parent_of(*initiator, root);
-                let id = self.new_node(url, NodeKind::WebSocket, parent);
+                let id = self.push_node(url, NodeKind::WebSocket, Some(parent));
                 self.nodes[id.0].ws = Some(WsTranscript::default());
                 self.by_request.insert(*request_id, id);
             }
@@ -512,7 +556,7 @@ impl TreeBuilder {
             }
             CdpEvent::RequestBlockedByExtension { url, initiator, .. } => {
                 let parent = self.parent_of(*initiator, root);
-                self.new_node(url, NodeKind::Blocked, parent);
+                self.push_node(url, NodeKind::Blocked, Some(parent));
             }
         }
     }
@@ -780,5 +824,55 @@ mod tests {
         let json = serde_json::to_string(&tree).unwrap();
         let back: InclusionTree = serde_json::from_str(&json).unwrap();
         assert_eq!(tree, back);
+    }
+
+    fn odd_url_tree() -> InclusionTree {
+        let events = vec![
+            CdpEvent::RequestWillBeSent {
+                request_id: RequestId(1),
+                url: "data:image/gif;base64,R0lG".into(),
+                resource_type: ResourceKind::Image,
+                initiator: Initiator::Parser(FrameId(0)),
+                frame_id: FrameId(0),
+            },
+            CdpEvent::WebSocketCreated {
+                request_id: RequestId(2),
+                url: "WSS://Chat.Example/live".into(),
+                initiator: Initiator::Parser(FrameId(0)),
+                frame_id: FrameId(0),
+            },
+        ];
+        InclusionTree::build("http://p.example/", &events)
+    }
+
+    #[test]
+    fn nodes_carry_their_one_url_parse() {
+        let tree = odd_url_tree();
+        tree.check_invariants().unwrap();
+        assert_eq!(tree.url(NodeId(0)).unwrap().host_str(), "p.example");
+        // Unparseable URL: no parse, empty host.
+        assert_eq!(tree.url(NodeId(1)), None);
+        assert_eq!(tree.node(NodeId(1)).host, "");
+        // The host is the parse's (lower-cased) host.
+        let socket = tree.url(NodeId(2)).unwrap();
+        assert_eq!(socket.host_str(), "chat.example");
+        assert_eq!(tree.node(NodeId(2)).host, "chat.example");
+    }
+
+    /// The JSON is `page_url` + `nodes` only, byte for byte the derived
+    /// serialization of those two fields; loading rebuilds the parses.
+    #[test]
+    fn json_format_is_unchanged_and_reload_rebuilds_parses() {
+        const GOLDEN: &str = concat!(
+            r#"{"page_url":"http://p.example/","nodes":["#,
+            r#"{"id":0,"url":"http://p.example/","host":"p.example","kind":"Page","parent":null,"children":[1,2],"ws":null,"http_body":null,"http_sent_ground_truth":[]},"#,
+            r#"{"id":1,"url":"data:image/gif;base64,R0lG","host":"","kind":"Image","parent":0,"children":[],"ws":null,"http_body":null,"http_sent_ground_truth":[]},"#,
+            r#"{"id":2,"url":"WSS://Chat.Example/live","host":"chat.example","kind":"WebSocket","parent":0,"children":[],"ws":{"handshake_request":"","status":0,"sent":[],"received":[],"closed":false,"error":null},"http_body":null,"http_sent_ground_truth":[]}]}"#,
+        );
+        let tree = odd_url_tree();
+        assert_eq!(serde_json::to_string(&tree).unwrap(), GOLDEN);
+        let back: InclusionTree = serde_json::from_str(GOLDEN).unwrap();
+        back.check_invariants().unwrap();
+        assert_eq!(back, tree);
     }
 }

@@ -126,66 +126,6 @@ impl Interner {
     }
 }
 
-/// A URL → hostname memo layered on two interners.
-///
-/// The inclusion builder derives a host for every node URL; crawls repeat
-/// the same URLs constantly, so this caches the (parsed) host per distinct
-/// URL symbol. Unparseable URLs memoize the empty host, mirroring
-/// `host_of`'s "" fallback in the tree builder.
-#[derive(Debug, Clone, Default)]
-pub struct HostCache {
-    urls: Interner,
-    hosts: Interner,
-    /// Indexed by URL symbol: the host symbol once derived.
-    map: Vec<Option<Sym>>,
-}
-
-impl HostCache {
-    /// Creates an empty cache.
-    pub fn new() -> HostCache {
-        HostCache::default()
-    }
-
-    /// Returns the host symbol for `url`, parsing it at most once per
-    /// distinct URL string.
-    pub fn host_sym(&mut self, url: &str) -> Sym {
-        let u = self.urls.intern(url);
-        if self.map.len() <= u.index() {
-            self.map.resize(u.index() + 1, None);
-        }
-        if let Some(h) = self.map[u.index()] {
-            return h;
-        }
-        let host = match sockscope_urlkit::Url::parse(url) {
-            Ok(parsed) => self.hosts.intern(parsed.host_str()),
-            Err(_) => self.hosts.intern(""),
-        };
-        self.map[u.index()] = Some(host);
-        host
-    }
-
-    /// Returns the host string for `url` (memoized).
-    pub fn host(&mut self, url: &str) -> &str {
-        let h = self.host_sym(url);
-        self.hosts.resolve(h)
-    }
-
-    /// Resolves a host symbol previously returned by [`HostCache::host_sym`].
-    pub fn resolve_host(&self, sym: Sym) -> &str {
-        self.hosts.resolve(sym)
-    }
-
-    /// Number of distinct URLs memoized.
-    pub fn len(&self) -> usize {
-        self.urls.len()
-    }
-
-    /// `true` when no URL has been memoized.
-    pub fn is_empty(&self) -> bool {
-        self.urls.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,32 +175,5 @@ mod tests {
             i.intern("tracker.example");
         }
         assert_eq!(i.arena_bytes(), "tracker.example".len());
-    }
-
-    #[test]
-    fn host_cache_matches_url_parse() {
-        let mut c = HostCache::new();
-        assert_eq!(c.host("https://a.example/path?q=1"), "a.example");
-        assert_eq!(c.host("https://b.example/"), "b.example");
-        // Repeat URL: same symbol, no re-parse.
-        let s1 = c.host_sym("https://a.example/path?q=1");
-        let s2 = c.host_sym("https://a.example/path?q=1");
-        assert_eq!(s1, s2);
-        assert_eq!(c.len(), 2);
-    }
-
-    #[test]
-    fn host_cache_memoizes_unparseable_urls_as_empty() {
-        let mut c = HostCache::new();
-        assert_eq!(c.host("::not a url::"), "");
-        assert_eq!(c.host("::not a url::"), "");
-    }
-
-    #[test]
-    fn shared_host_symbol_across_urls() {
-        let mut c = HostCache::new();
-        let a = c.host_sym("https://cdn.example/a.js");
-        let b = c.host_sym("https://cdn.example/b.js");
-        assert_eq!(a, b, "same host ⇒ same host symbol");
     }
 }

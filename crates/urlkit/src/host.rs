@@ -148,7 +148,6 @@ impl Host {
         if input.len() > 253 {
             return Err(HostError::TooLong);
         }
-        let mut out = String::with_capacity(input.len());
         for label in input.split('.') {
             if label.is_empty() {
                 return Err(HostError::EmptyLabel);
@@ -165,10 +164,7 @@ impl Host {
                 }
             }
         }
-        for c in input.chars() {
-            out.push(c.to_ascii_lowercase());
-        }
-        Ok(Host::Domain(out))
+        Ok(Host::Domain(input.to_ascii_lowercase()))
     }
 
     /// The host rendered as it appears in a URL.

@@ -117,13 +117,10 @@ impl Url {
             return Err(ParseError::BadChar);
         }
         let (scheme_str, rest) = input.split_once(':').ok_or(ParseError::BadScheme)?;
-        let scheme = match scheme_str.to_ascii_lowercase().as_str() {
-            "http" => Scheme::Http,
-            "https" => Scheme::Https,
-            "ws" => Scheme::Ws,
-            "wss" => Scheme::Wss,
-            _ => return Err(ParseError::BadScheme),
-        };
+        let scheme = [Scheme::Http, Scheme::Https, Scheme::Ws, Scheme::Wss]
+            .into_iter()
+            .find(|s| scheme_str.eq_ignore_ascii_case(s.as_str()))
+            .ok_or(ParseError::BadScheme)?;
         let rest = rest
             .strip_prefix("//")
             .ok_or(ParseError::MissingSeparator)?;
@@ -144,11 +141,19 @@ impl Url {
             _ => (hostport, scheme.default_port()),
         };
         let host = Host::parse(host_str).map_err(ParseError::BadHost)?;
-        // Split path / query, drop fragment.
+        // Split path / query, drop fragment. Trailing whitespace is ignored
+        // on the URL as `Display` renders it — no fragment, no empty `?` —
+        // just as it is at the end of the input, so that parsing a
+        // rendered URL gives the same URL back.
         let tail = tail.split('#').next().unwrap_or("");
         let (path, query) = match tail.split_once('?') {
-            Some((p, q)) => (p, q),
+            Some((p, q)) => (p, q.trim_end()),
             None => (tail, ""),
+        };
+        let path = if query.is_empty() {
+            path.trim_end()
+        } else {
+            path
         };
         let path = if path.is_empty() { "/" } else { path };
         let mut path_query = String::with_capacity(path.len() + query.len());
@@ -337,6 +342,33 @@ mod tests {
             assert_eq!(u.to_string(), s);
             assert_eq!(Url::parse(&u.to_string()).unwrap(), u);
         }
+    }
+
+    #[test]
+    fn scheme_and_host_case_is_ignored() {
+        assert_eq!(
+            Url::parse("HtTpS://Ads.Example/X?Q=1"),
+            Url::parse("https://ads.example/X?Q=1")
+        );
+        assert_eq!(Url::parse("FTP://x.example/"), Err(ParseError::BadScheme));
+    }
+
+    #[test]
+    fn whitespace_trailing_the_rendered_url_is_ignored() {
+        // Unicode whitespace before a fragment or an empty `?` ends the
+        // rendered URL, so it is trimmed like input-final whitespace.
+        for s in [
+            "http://x.example/a\u{2003}#frag",
+            "http://x.example/a\u{2003}?",
+            "http://x.example/a?\u{2003}#frag",
+        ] {
+            let u = Url::parse(s).unwrap();
+            assert_eq!(u.path(), "/a", "{s:?}");
+            assert_eq!(u.query(), None, "{s:?}");
+            assert_eq!(Url::parse(&u.to_string()), Ok(u));
+        }
+        let u = Url::parse("http://x.example/a\u{2003}?q\u{2003}#f").unwrap();
+        assert_eq!((u.path(), u.query()), ("/a\u{2003}", Some("q")));
     }
 
     #[test]

@@ -447,6 +447,81 @@ proptest! {
     }
 }
 
+/// The derived serialization of a tree's two JSON fields, `page_url` then
+/// `nodes`: the format trees are saved in.
+#[derive(serde::Serialize)]
+struct DerivedTreeJson {
+    page_url: String,
+    nodes: Vec<sockscope::inclusion::Node>,
+}
+
+/// [`random_events`] with some URLs made mixed-case or unparseable, and a
+/// page URL that may be either: `(page_url, events)`.
+fn random_events_with_odd_urls() -> impl Strategy<Value = (String, Vec<CdpEvent<'static>>)> {
+    const PAGES: [&str; 4] = [
+        "http://page.example/",
+        "HTTP://Page.Example/Index",
+        "data:text/html,hi",
+        "http://bad host/",
+    ];
+    (
+        random_events(),
+        proptest::collection::vec(0u8..4, 60..61),
+        0usize..PAGES.len(),
+    )
+        .prop_map(|(mut events, odd, page)| {
+            for (event, odd) in events.iter_mut().zip(odd) {
+                let url = match event {
+                    CdpEvent::ScriptParsed { url, .. }
+                    | CdpEvent::RequestWillBeSent { url, .. }
+                    | CdpEvent::WebSocketCreated { url, .. }
+                    | CdpEvent::FrameNavigated { url, .. } => url,
+                    _ => continue,
+                };
+                *url = match odd {
+                    1 => url.to_ascii_uppercase().into(),
+                    2 => "javascript:void(0)".into(),
+                    3 => format!("{url}\u{2003}#frag").into(),
+                    _ => continue,
+                };
+            }
+            (PAGES[page].to_string(), events)
+        })
+}
+
+proptest! {
+    /// Every tree — built in batch, built incrementally, or reloaded from
+    /// its JSON — carries exactly a fresh parse of each node's URL, and
+    /// its JSON is byte for byte the derived serialization of its fields.
+    #[test]
+    fn trees_carry_the_parse_of_each_node_url(stream in random_events_with_odd_urls()) {
+        use sockscope::browser::VisitSink;
+        use sockscope::inclusion::TreeBuilder;
+        use sockscope::urlkit::Url;
+
+        let (page, events) = stream;
+        let batch = InclusionTree::build(&page, &events);
+        let mut builder = TreeBuilder::new(&page);
+        for event in &events {
+            builder.on_event(event.clone());
+        }
+        let incremental = builder.finish();
+        let json = serde_json::to_string(&batch).unwrap();
+        let reloaded: InclusionTree = serde_json::from_str(&json).unwrap();
+        for tree in [&batch, &incremental, &reloaded] {
+            for node in tree.nodes() {
+                prop_assert_eq!(tree.url(node.id), Url::parse(&node.url).ok().as_ref());
+            }
+        }
+        prop_assert_eq!(&reloaded, &batch);
+        let derived = DerivedTreeJson {
+            page_url: batch.page_url.clone(),
+            nodes: batch.nodes().to_vec(),
+        };
+        prop_assert_eq!(json, serde_json::to_string(&derived).unwrap());
+    }
+}
+
 // ---------------------------------------------------------------------------
 // payload classification: rendered items are always recovered
 // ---------------------------------------------------------------------------
