@@ -176,8 +176,9 @@ impl Engine {
             candidates,
         } = &mut scratch;
         write_url_text(ctx.url, url_text);
+        let mut facts = Facts::new(ctx);
         candidates.clear();
-        candidates.extend_from_slice(self.domain_candidates(ctx.url));
+        candidates.extend_from_slice(self.domain_candidates(facts.url_sld));
         let domain_hits = candidates.len();
         for_each_url_token(url_text, |hash| {
             if let Some(v) = self.token_index.get(&hash) {
@@ -190,7 +191,7 @@ impl Engine {
         // repeats in the URL adds its bucket twice.
         candidates[domain_hits..].sort_unstable();
         candidates.dedup();
-        let decision = self.decide(ctx, url_text, candidates);
+        let decision = self.decide(&mut facts, url_text, candidates);
         SCRATCH.with(|s| s.set(Some(scratch)));
         decision
     }
@@ -202,29 +203,30 @@ impl Engine {
     pub fn evaluate_reference(&self, ctx: &RequestContext<'_>) -> Decision {
         let mut url_text = String::new();
         write_url_text(ctx.url, &mut url_text);
-        let mut candidates = self.domain_candidates(ctx.url).to_vec();
+        let mut facts = Facts::new(ctx);
+        let mut candidates = self.domain_candidates(facts.url_sld).to_vec();
         candidates.extend_from_slice(&self.generic);
-        self.decide(ctx, &url_text, &candidates)
+        self.decide(&mut facts, &url_text, &candidates)
     }
 
-    /// Domain-anchored rules indexed under the URL's registrable domain.
-    fn domain_candidates(&self, url: &Url) -> &[usize] {
-        url.second_level_domain()
+    /// Domain-anchored rules indexed under the request's registrable
+    /// domain.
+    fn domain_candidates(&self, url_sld: Option<&str>) -> &[usize] {
+        url_sld
             .and_then(|sld| self.domain_index.get(sld))
             .map_or(&[], Vec::as_slice)
     }
 
     /// Runs the full matcher over `candidates` in order: the first
     /// matching exception wins outright, else the first matching block.
-    fn decide(&self, ctx: &RequestContext<'_>, url_text: &str, candidates: &[usize]) -> Decision {
+    fn decide(&self, facts: &mut Facts<'_>, url_text: &str, candidates: &[usize]) -> Decision {
         let mut block: Option<usize> = None;
-        let mut third_party: Option<bool> = None;
         for &i in candidates {
             let rule = &self.rules[i];
-            if !rule_applies(rule, ctx, &mut third_party) {
+            if !rule_applies(rule, facts) {
                 continue;
             }
-            if pattern_matches(rule, url_text, ctx.url) {
+            if pattern_matches(rule, url_text, facts.ctx.url) {
                 if rule.exception {
                     return Decision::Allow(i);
                 }
@@ -256,11 +258,64 @@ thread_local! {
     static SCRATCH: Cell<Option<Scratch>> = const { Cell::new(None) };
 }
 
-/// Writes the matcher's view of `url` into `out`: its serialization,
-/// ASCII-lowercased.
+/// The facts about one request that rule options ask for, each derived
+/// at most once per decision: the request's registrable domain up front
+/// (the domain index needs it), the page's and the third-party status on
+/// first use.
+struct Facts<'a> {
+    ctx: &'a RequestContext<'a>,
+    url_sld: Option<&'a str>,
+    page_sld: Option<Option<&'a str>>,
+    third_party: Option<bool>,
+}
+
+impl<'a> Facts<'a> {
+    fn new(ctx: &'a RequestContext<'a>) -> Facts<'a> {
+        Facts {
+            ctx,
+            url_sld: ctx.url.second_level_domain(),
+            page_sld: None,
+            third_party: None,
+        }
+    }
+
+    /// The page's registrable domain; `None` for an IPv4 page.
+    fn page_sld(&mut self) -> Option<&'a str> {
+        let ctx = self.ctx;
+        *self
+            .page_sld
+            .get_or_insert_with(|| ctx.page.second_level_domain())
+    }
+
+    /// [`RequestContext::is_third_party`] from the derived domains.
+    fn third_party(&mut self) -> bool {
+        if let Some(known) = self.third_party {
+            return known;
+        }
+        let third_party = match (self.page_sld(), self.url_sld) {
+            (Some(page), Some(url)) => page != url,
+            _ => self.ctx.page.host() != self.ctx.url.host(),
+        };
+        *self.third_party.insert(third_party)
+    }
+}
+
+/// Writes the matcher's view of `url` into `out`: its serialization
+/// (as `Display` renders it), ASCII-lowercased. Pieces are copied in;
+/// only a rare explicit port goes through `fmt`.
 fn write_url_text(url: &Url, out: &mut String) {
     out.clear();
-    write!(out, "{url}").expect("writing to a String cannot fail");
+    out.push_str(url.scheme().as_str());
+    out.push_str("://");
+    out.push_str(url.host_str());
+    if url.port() != url.scheme().default_port() {
+        write!(out, ":{}", url.port()).expect("writing to a String cannot fail");
+    }
+    out.push_str(url.path());
+    if let Some(query) = url.query() {
+        out.push('?');
+        out.push_str(query);
+    }
     out.make_ascii_lowercase();
 }
 
@@ -390,22 +445,20 @@ fn choose_token(rule: &Rule) -> Option<&str> {
 }
 
 /// Checks the rule's option constraints against the request.
-/// `third_party` caches the request's third-party status, computed on
-/// first use.
-fn rule_applies(rule: &Rule, ctx: &RequestContext<'_>, third_party: &mut Option<bool>) -> bool {
+fn rule_applies(rule: &Rule, facts: &mut Facts<'_>) -> bool {
     if let Some(types) = &rule.types {
-        if !types.contains(&ctx.resource_type) {
+        if !types.contains(&facts.ctx.resource_type) {
             return false;
         }
     }
     if let Some(want) = rule.third_party {
-        if *third_party.get_or_insert_with(|| ctx.is_third_party()) != want {
+        if facts.third_party() != want {
             return false;
         }
     }
     if !rule.include_domains.is_empty() || !rule.exclude_domains.is_empty() {
-        let page_sld = ctx.page.second_level_domain().unwrap_or_default();
-        let page_host = ctx.page.host_str();
+        let page_sld = facts.page_sld().unwrap_or_default();
+        let page_host = facts.ctx.page.host_str();
         let hits = |d: &String| {
             *d == page_sld
                 || *d == page_host
@@ -467,16 +520,17 @@ fn match_part_at(part: &str, text: &str, pos: usize) -> Option<usize> {
 /// returns its `(start, end)`. `from` must be a char boundary.
 ///
 /// Cost follows the part, not the text: a part without `^` is one
-/// substring search; a part with a literal head before its first `^` is
+/// literal search; a part with a literal head before its first `^` is
 /// a search for that head, verified at each hit. Only a part that begins
 /// with `^` is tried at every character position.
 pub fn find_part(part: &str, text: &str, from: usize) -> Option<(usize, usize)> {
     if part.is_empty() {
         return Some((from, from));
     }
-    let rest = text.get(from..)?;
+    // `from` past the end, or inside a character, finds nothing.
+    text.get(from..)?;
     let Some(sep) = part.find('^') else {
-        return rest.find(part).map(|i| (from + i, from + i + part.len()));
+        return find_literal(text, part, from).map(|at| (at, at + part.len()));
     };
     if sep == 0 {
         let mut start = from;
@@ -490,12 +544,31 @@ pub fn find_part(part: &str, text: &str, from: usize) -> Option<(usize, usize)> 
     let head = &part[..sep];
     let step = head.chars().next().map_or(1, char::len_utf8);
     let mut start = from;
-    while let Some(i) = text[start..].find(head) {
-        let at = start + i;
+    while let Some(at) = find_literal(text, head, start) {
         if let Some(end) = match_part_at(part, text, at) {
             return Some((at, end));
         }
         start = at + step;
+    }
+    None
+}
+
+/// Leftmost occurrence of the non-empty `lit` in `text` at or after
+/// `from`: a scan for its first byte, then a compare of the rest. Rule
+/// literals are short, so this beats a substring searcher, whose set-up
+/// alone costs more than most scans. A hit of a UTF-8 literal in UTF-8
+/// text always starts a character.
+fn find_literal(text: &str, lit: &str, from: usize) -> Option<usize> {
+    let (hay, needle) = (text.as_bytes(), lit.as_bytes());
+    let (&first, tail) = needle.split_first()?;
+    let last = hay.len().checked_sub(needle.len())?;
+    let mut at = from;
+    while at <= last {
+        at += hay[at..=last].iter().position(|&b| b == first)?;
+        if hay[at + 1..at + needle.len()] == *tail {
+            return Some(at);
+        }
+        at += 1;
     }
     None
 }
@@ -654,6 +727,47 @@ mod tests {
         let u = url("http://cdn.widget.example/w.js");
         assert!(e.blocks(&ctx(&u, &third_page, ResourceType::Script)));
         assert!(!e.blocks(&ctx(&u, &own_page, ResourceType::Script)));
+    }
+
+    #[test]
+    fn url_text_is_the_lowercased_rendering() {
+        let mut text = String::new();
+        for u in [
+            "http://ads.example/",
+            "https://X.example:8443/A/b.JS?Q=1",
+            "wss://10.0.0.1:443/s",
+            "ws://10.0.0.1:0/",
+            "http://x.example/é?É",
+        ] {
+            let u = url(u);
+            write_url_text(&u, &mut text);
+            assert_eq!(text, u.to_string().to_ascii_lowercase());
+        }
+    }
+
+    #[test]
+    fn derived_third_party_matches_the_context_predicate() {
+        let urls = [
+            "http://www.pub.example/",
+            "http://cdn.pub.example/a.js",
+            "http://ads.example.co.uk/",
+            "http://x.example.co.uk/",
+            "http://a.s3.amazonaws.com/",
+            "http://b.s3.amazonaws.com/",
+            "http://10.0.0.1/",
+            "http://10.0.0.2/",
+        ]
+        .map(url);
+        for page in &urls {
+            for u in &urls {
+                let c = ctx(u, page, ResourceType::Script);
+                assert_eq!(
+                    Facts::new(&c).third_party(),
+                    c.is_third_party(),
+                    "{u} on {page}"
+                );
+            }
+        }
     }
 
     #[test]

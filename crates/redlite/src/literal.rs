@@ -248,29 +248,39 @@ fn exact_prefix_item(item: &Ast, out: &mut String) -> bool {
 /// Public (with [`find_lit_scalar`]) so the differential fuzz suite can
 /// race the SWAR skip loop against the byte-at-a-time reference.
 pub fn find_lit(haystack: &str, lit: &str, ci: bool, from: usize) -> Option<usize> {
-    if from > haystack.len() {
-        return None;
-    }
-    if !ci {
-        return haystack[from..].find(lit).map(|i| from + i);
-    }
     let hay = haystack.as_bytes();
     let needle = lit.as_bytes();
+    if from > hay.len() {
+        return None;
+    }
     if needle.is_empty() {
         return Some(from);
     }
     if hay.len() < needle.len() {
         return None;
     }
+    // Both branches skip to the next candidate first byte, then compare
+    // the rest in place: no substring-searcher set-up per call.
     let first = needle[0];
+    let (lo, hi) = if ci {
+        (first.to_ascii_lowercase(), first.to_ascii_uppercase())
+    } else {
+        (first, first)
+    };
     let last = hay.len() - needle.len();
     let mut i = from;
     while i <= last {
-        let pos = i + find_byte_ci(&hay[i..], first)?;
+        let pos = i + find_byte2(&hay[i..], lo, hi)?;
         if pos > last {
             return None;
         }
-        if hay[pos..pos + needle.len()].eq_ignore_ascii_case(needle) {
+        let cand = &hay[pos..pos + needle.len()];
+        let hit = if ci {
+            cand.eq_ignore_ascii_case(needle)
+        } else {
+            cand == needle
+        };
+        if hit {
             return Some(pos);
         }
         i = pos + 1;
@@ -307,17 +317,17 @@ pub fn find_lit_scalar(haystack: &str, lit: &str, ci: bool, from: usize) -> Opti
     None
 }
 
-/// Leftmost byte equal to `b` under ASCII case folding: the memchr-style
-/// skip loop the case-insensitive scan rides. Eight haystack bytes per
-/// iteration via SWAR zero-byte detection against both case variants of
-/// `b`; the first flagged byte is always a true hit (borrow propagation in
-/// the zero test only produces false positives *above* a true zero byte),
-/// so `trailing_zeros` on the little-endian load is exact.
-fn find_byte_ci(hay: &[u8], b: u8) -> Option<usize> {
+/// Leftmost byte equal to `a` or `b` (the two case variants of a byte, or
+/// the byte twice): the memchr-style skip loop [`find_lit`] rides. Eight
+/// haystack bytes per iteration via SWAR zero-byte detection against both
+/// bytes; the first flagged byte is always a true hit (borrow propagation
+/// in the zero test only produces false positives *above* a true zero
+/// byte), so `trailing_zeros` on the little-endian load is exact.
+fn find_byte2(hay: &[u8], a: u8, b: u8) -> Option<usize> {
     const LO: u64 = 0x0101_0101_0101_0101;
     const HI: u64 = 0x8080_8080_8080_8080;
-    let lower = u64::from(b.to_ascii_lowercase()).wrapping_mul(LO);
-    let upper = u64::from(b.to_ascii_uppercase()).wrapping_mul(LO);
+    let lower = u64::from(a).wrapping_mul(LO);
+    let upper = u64::from(b).wrapping_mul(LO);
     let mut chunks = hay.chunks_exact(8);
     let mut base = 0usize;
     for chunk in &mut chunks {
@@ -333,7 +343,7 @@ fn find_byte_ci(hay: &[u8], b: u8) -> Option<usize> {
     chunks
         .remainder()
         .iter()
-        .position(|c| c.eq_ignore_ascii_case(&b))
+        .position(|&c| c == a || c == b)
         .map(|p| base + p)
 }
 

@@ -142,27 +142,45 @@ impl Host {
         if input.is_empty() {
             return Err(HostError::Empty);
         }
-        if let Some(ip) = parse_ipv4(input) {
-            return Ok(Host::Ipv4(Ipv4Text::new(ip)));
+        // A dotted quad is at most 15 bytes of digits and dots; any other
+        // input skips straight to the name checks.
+        if input.len() <= 15 && input.bytes().all(|b| b.is_ascii_digit() || b == b'.') {
+            if let Some(ip) = parse_ipv4(input) {
+                return Ok(Host::Ipv4(Ipv4Text::new(ip)));
+            }
         }
         if input.len() > 253 {
             return Err(HostError::TooLong);
         }
-        for label in input.split('.') {
+        // One pass over the bytes. Each label's length and hyphen checks
+        // come before its first bad character, as in a label-by-label scan.
+        let bytes = input.as_bytes();
+        let mut start = 0;
+        let mut bad: Option<usize> = None;
+        for i in 0..=bytes.len() {
+            let b = bytes.get(i).copied().unwrap_or(b'.');
+            if b != b'.' {
+                if bad.is_none() && !(b.is_ascii_alphanumeric() || b == b'-' || b == b'_') {
+                    bad = Some(i);
+                }
+                continue;
+            }
+            let label = &bytes[start..i];
             if label.is_empty() {
                 return Err(HostError::EmptyLabel);
             }
             if label.len() > 63 {
                 return Err(HostError::TooLong);
             }
-            if label.starts_with('-') || label.ends_with('-') {
+            if label[0] == b'-' || label[label.len() - 1] == b'-' {
                 return Err(HostError::BadHyphen);
             }
-            for c in label.chars() {
-                if !(c.is_ascii_alphanumeric() || c == '-' || c == '_') {
-                    return Err(HostError::BadChar(c));
-                }
+            if let Some(at) = bad {
+                // Every byte before `at` is ASCII, so `at` starts a char.
+                let c = input[at..].chars().next().expect("char boundary");
+                return Err(HostError::BadChar(c));
             }
+            start = i + 1;
         }
         Ok(Host::Domain(input.to_ascii_lowercase()))
     }

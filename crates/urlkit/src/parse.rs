@@ -124,21 +124,34 @@ impl Url {
         let rest = rest
             .strip_prefix("//")
             .ok_or(ParseError::MissingSeparator)?;
-        // Split authority from path/query/fragment.
-        let authority_end = rest.find(['/', '?', '#']).unwrap_or(rest.len());
-        let authority = &rest[..authority_end];
-        let tail = &rest[authority_end..];
-        // Strip userinfo if present (rare, but cheap to support).
-        let hostport = authority
-            .rsplit_once('@')
-            .map(|(_, hp)| hp)
-            .unwrap_or(authority);
-        let (host_str, port) = match hostport.rsplit_once(':') {
-            Some((h, p)) if p.bytes().all(|b| b.is_ascii_digit()) && !p.is_empty() => {
-                (h, p.parse::<u16>().map_err(|_| ParseError::BadPort)?)
+        // One scan of the authority: where it ends (at the path, query or
+        // fragment), its last `@` (userinfo is dropped, rare but cheap to
+        // support) and the last `:` after that `@` (the port separator).
+        let mut authority_end = rest.len();
+        let mut host_start = 0;
+        let mut colon = None;
+        for (i, b) in rest.bytes().enumerate() {
+            match b {
+                b'/' | b'?' | b'#' => {
+                    authority_end = i;
+                    break;
+                }
+                b'@' => {
+                    host_start = i + 1;
+                    colon = None;
+                }
+                b':' => colon = Some(i),
+                _ => {}
             }
-            Some((_, p)) if !p.is_empty() => return Err(ParseError::BadPort),
-            _ => (hostport, scheme.default_port()),
+        }
+        let tail = &rest[authority_end..];
+        let (host_str, port) = match colon {
+            // An empty port leaves the `:` in the host, which rejects it.
+            Some(c) if c + 1 < authority_end => (
+                &rest[host_start..c],
+                parse_port(&rest[c + 1..authority_end])?,
+            ),
+            _ => (&rest[host_start..authority_end], scheme.default_port()),
         };
         let host = Host::parse(host_str).map_err(ParseError::BadHost)?;
         // Split path / query, drop fragment. Trailing whitespace is ignored
@@ -250,6 +263,19 @@ impl Url {
         };
         Url::parse(&format!("{base}{dir}{reference}"))
     }
+}
+
+/// A port: one or more ASCII digits with a value of at most 65535.
+fn parse_port(digits: &str) -> Result<u16, ParseError> {
+    digits.bytes().try_fold(0u16, |port, b| {
+        let digit = b.wrapping_sub(b'0');
+        if digit > 9 {
+            return Err(ParseError::BadPort);
+        }
+        port.checked_mul(10)
+            .and_then(|p| p.checked_add(u16::from(digit)))
+            .ok_or(ParseError::BadPort)
+    })
 }
 
 impl fmt::Display for Url {

@@ -12,6 +12,16 @@
 //! list is tiny by design; [`second_level_domain`] falls back to "last two
 //! labels" for unknown suffixes, which matches how the paper's dataset was
 //! built (Alexa domains are overwhelmingly under well-known suffixes).
+//!
+//! The lookup is suffix-first. A one-label suffix, listed or not, yields
+//! the last two labels, which is also the fallback, so only the host's
+//! last-three-label and last-two-label suffixes are looked up, longest
+//! first, in one hashed set of the multi-label entries. A call costs at
+//! most two set probes and a backward scan for four dots, whatever the
+//! host's depth; it runs for every request the pipeline labels.
+
+use std::collections::HashSet;
+use std::sync::OnceLock;
 
 /// Public suffixes with exactly one label.
 const SINGLE_LABEL_SUFFIXES: &[&str] = &[
@@ -92,6 +102,25 @@ const DOUBLE_LABEL_SUFFIXES: &[&str] = &[
     "netlify.app",
 ];
 
+/// The multi-label entries of [`DOUBLE_LABEL_SUFFIXES`], hashed once.
+fn multi_label_suffixes() -> &'static HashSet<&'static str> {
+    static SET: OnceLock<HashSet<&'static str>> = OnceLock::new();
+    SET.get_or_init(|| DOUBLE_LABEL_SUFFIXES.iter().copied().collect())
+}
+
+/// Every entry of the embedded public-suffix list, one-label entries first.
+///
+/// ```
+/// use sockscope_urlkit::psl::public_suffixes;
+/// assert!(public_suffixes().any(|s| s == "co.uk"));
+/// ```
+pub fn public_suffixes() -> impl Iterator<Item = &'static str> {
+    SINGLE_LABEL_SUFFIXES
+        .iter()
+        .chain(DOUBLE_LABEL_SUFFIXES)
+        .copied()
+}
+
 /// Returns `true` if `domain` (already lower-case, no trailing dot) is
 /// itself a public suffix.
 ///
@@ -102,12 +131,10 @@ const DOUBLE_LABEL_SUFFIXES: &[&str] = &[
 /// assert!(!is_public_suffix("doubleclick.net"));
 /// ```
 pub fn is_public_suffix(domain: &str) -> bool {
-    let labels = domain.matches('.').count() + 1;
-    match labels {
-        1 => SINGLE_LABEL_SUFFIXES.contains(&domain),
-        2 => DOUBLE_LABEL_SUFFIXES.contains(&domain),
-        3 => DOUBLE_LABEL_SUFFIXES.contains(&domain), // s3.amazonaws.com
-        _ => false,
+    if domain.contains('.') {
+        multi_label_suffixes().contains(domain)
+    } else {
+        SINGLE_LABEL_SUFFIXES.contains(&domain)
     }
 }
 
@@ -126,29 +153,30 @@ pub fn is_public_suffix(domain: &str) -> bool {
 /// ```
 pub fn second_level_domain(host: &str) -> &str {
     let host = host.strip_suffix('.').unwrap_or(host);
-    // Walk suffix candidates from longest to shortest, label by label in
-    // place; the registrable domain is one label above the longest
-    // matching public suffix.
-    let mut above: Option<usize> = None;
-    let mut start = 0;
-    loop {
-        if is_public_suffix(&host[start..]) {
-            // `above` is `None` when the whole host is a public suffix.
-            return above.map_or(host, |a| &host[a..]);
-        }
-        match host[start..].find('.') {
+    // `from[k]` starts the host's last `k + 1` labels (the whole host when
+    // it has fewer). The registrable domain is one label above the longest
+    // listed suffix; the list has no entry longer than three labels, and
+    // a one-label suffix gives the same last two labels as no match.
+    let mut from = [0usize; 4];
+    let mut end = host.len();
+    for slot in &mut from {
+        match host[..end].rfind('.') {
             Some(dot) => {
-                above = Some(start);
-                start += dot + 1;
+                *slot = dot + 1;
+                end = dot;
             }
             None => break,
         }
     }
-    // Unknown suffix: fall back to the last two labels.
-    match host.rfind('.') {
-        Some(last) => host[..last].rfind('.').map_or(host, |d| &host[d + 1..]),
-        None => host,
-    }
+    let suffixes = multi_label_suffixes();
+    let start = if suffixes.contains(&host[from[2]..]) {
+        from[3]
+    } else if suffixes.contains(&host[from[1]..]) {
+        from[2]
+    } else {
+        from[1]
+    };
+    &host[start..]
 }
 
 /// The registrable domain shared by *every* host that ends in `suffix` at
@@ -170,13 +198,10 @@ pub fn second_level_domain(host: &str) -> &str {
 pub fn shared_registrable_domain(suffix: &str) -> Option<&str> {
     let last = suffix.rsplit('.').next().unwrap_or(suffix);
     let numeric = last.bytes().all(|b| b.is_ascii_digit());
-    let extended = SINGLE_LABEL_SUFFIXES
-        .iter()
-        .chain(DOUBLE_LABEL_SUFFIXES)
-        .any(|ps| {
-            ps.strip_suffix(suffix)
-                .is_some_and(|head| head.ends_with('.'))
-        });
+    let extended = public_suffixes().any(|ps| {
+        ps.strip_suffix(suffix)
+            .is_some_and(|head| head.ends_with('.'))
+    });
     if numeric || !suffix.contains('.') || is_public_suffix(suffix) || extended {
         None
     } else {
@@ -189,6 +214,16 @@ mod tests {
     use super::*;
 
     #[test]
+    fn list_entries_fit_the_suffix_first_lookup() {
+        // `second_level_domain` looks up at most three labels, and
+        // `is_public_suffix` picks the table by the presence of a dot.
+        assert!(SINGLE_LABEL_SUFFIXES.iter().all(|s| !s.contains('.')));
+        assert!(DOUBLE_LABEL_SUFFIXES
+            .iter()
+            .all(|s| (1..=2).contains(&s.matches('.').count())));
+    }
+
+    #[test]
     fn basic_com() {
         assert_eq!(second_level_domain("www.example.com"), "example.com");
         assert_eq!(second_level_domain("example.com"), "example.com");
@@ -199,6 +234,10 @@ mod tests {
     fn cc_sld() {
         assert_eq!(second_level_domain("shop.example.co.uk"), "example.co.uk");
         assert_eq!(second_level_domain("example.co.uk"), "example.co.uk");
+        for (host, sld) in [("co.uk", "co.uk"), ("a.b.c.example.co.uk", "example.co.uk")] {
+            assert_eq!(second_level_domain(host), sld, "{host}");
+            assert_eq!(second_level_domain(&format!("{host}.")), sld, "{host}.");
+        }
     }
 
     #[test]
@@ -229,6 +268,18 @@ mod tests {
     fn private_suffixes() {
         assert_eq!(second_level_domain("user.github.io"), "user.github.io");
         assert_eq!(second_level_domain("deep.user.github.io"), "user.github.io");
+        // A three-label suffix, and the two-label name it extends, which
+        // is not itself a suffix.
+        for (host, sld) in [
+            ("s3.amazonaws.com", "s3.amazonaws.com"),
+            ("x.s3.amazonaws.com", "x.s3.amazonaws.com"),
+            ("a.b.s3.amazonaws.com", "b.s3.amazonaws.com"),
+            ("amazonaws.com", "amazonaws.com"),
+            ("x.amazonaws.com", "amazonaws.com"),
+        ] {
+            assert_eq!(second_level_domain(host), sld, "{host}");
+            assert_eq!(second_level_domain(&format!("{host}.")), sld, "{host}.");
+        }
     }
 
     #[test]

@@ -429,12 +429,19 @@ impl Catalog {
     /// Resolves the company owning a hostname (script or WS host, or any
     /// subdomain of its domain).
     pub fn by_host(&self, host: &str) -> Option<&Company> {
-        let host = host.to_ascii_lowercase();
+        let lowered;
+        let host = if host.bytes().any(|b| b.is_ascii_uppercase()) {
+            lowered = host.to_ascii_lowercase();
+            &lowered
+        } else {
+            host
+        };
         self.companies.iter().find(|c| {
             host == c.script_host
                 || host == c.ws_host
-                || host == c.domain
-                || host.ends_with(&format!(".{}", c.domain))
+                || host
+                    .strip_suffix(c.domain.as_str())
+                    .is_some_and(|head| head.is_empty() || head.ends_with('.'))
         })
     }
 
@@ -534,6 +541,10 @@ mod tests {
             "luckyorange"
         );
         assert!(c.by_host("unrelated.example").is_none());
+        assert_eq!(c.by_host("X.DoubleClick.NET").unwrap().name, "doubleclick");
+        assert_eq!(c.by_host("doubleclick.net").unwrap().name, "doubleclick");
+        assert!(c.by_host("notdoubleclick.net").is_none());
+        assert!(c.by_host("doubleclick.net.evil.example").is_none());
     }
 
     #[test]

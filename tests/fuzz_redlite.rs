@@ -161,8 +161,8 @@ fn fuzz_regex_set_agrees_with_per_pattern_scan() {
 
 #[test]
 fn fuzz_swar_literal_scan_agrees_with_scalar_reference() {
-    // The case-insensitive literal prefilter rides a SWAR skip loop
-    // (`find_byte_ci`) that scans eight haystack bytes per iteration; a
+    // The literal prefilter, in both case modes, rides a SWAR skip loop
+    // (`find_byte2`) that scans eight haystack bytes per iteration; a
     // phase, borrow-propagation, or remainder-handling bug would misplace
     // or skip candidate offsets. Race `find_lit` against the
     // byte-at-a-time reference on random haystacks (including bytes that

@@ -2,7 +2,7 @@
 //!
 //! Every request the browser emits, every inclusion-tree node and every
 //! crawler link goes through this parser, and a hostile page controls the
-//! text. Three targets:
+//! text. Four targets:
 //!
 //! * arbitrary text — byte soup drawn from URL syntax, digits, non-ASCII
 //!   letters, Unicode whitespace and control characters — never panics,
@@ -13,7 +13,14 @@
 //!   whitespace) and on every soup input that parses;
 //! * scheme and host case is invisible: a URL with a mixed-case scheme and
 //!   host parses equal to its lower-case form, and when one fails both
-//!   fail with the same [`ParseError`].
+//!   fail with the same [`ParseError`];
+//! * the one-pass `Url::parse` and `Host::parse` and the suffix-first
+//!   `second_level_domain` give exactly the answers, errors included, of
+//!   the label-by-label forms they replaced, kept below in [`oracle`]:
+//!   on every public-suffix entry with zero to three labels prepended,
+//!   and on URLs built from the shapes where the two could part
+//!   (userinfo, odd ports, near-IPv4 hosts, Unicode whitespace, non-ASCII
+//!   and upper-case hosts, label and name length limits, trailing dots).
 //!
 //! Mirrors `tests/fuzz_wsproto.rs`: every case derives from the vendored
 //! proptest [`TestRng`] so a failing case number reproduces exactly, and
@@ -21,7 +28,8 @@
 //! chaos job raises it).
 
 use proptest::test_runner::TestRng;
-use sockscope_urlkit::{ParseError, Url};
+use sockscope_urlkit::psl::public_suffixes;
+use sockscope_urlkit::{second_level_domain, Host, ParseError, Url};
 
 /// Per-target case count: `FUZZ_CASES` env or 2500.
 fn fuzz_cases() -> u64 {
@@ -290,4 +298,364 @@ fn fuzz_scheme_and_host_case_is_invisible() {
     }
     // Both outcomes must be exercised: errors must match too.
     assert!(failed > 0 && failed < fuzz_cases(), "{failed} failures");
+}
+
+/// Labels for the differential target: ordinary, upper-case, non-ASCII,
+/// empty, hyphen-edged, underscored, numeric, and one byte either side of
+/// the 63-byte label limit.
+const LABELS: &[&str] = &[
+    "a",
+    "www",
+    "Ads",
+    "EXAMPLE",
+    "co",
+    "uk",
+    "s3",
+    "amazonaws",
+    "é",
+    "xn--bcher-kva",
+    "日本",
+    "",
+    "-a",
+    "a-",
+    "a-b",
+    "a_b",
+    "0",
+    "01",
+    "256",
+    "a b",
+    "a%2e",
+    "aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa",
+    "aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa",
+];
+
+/// `labels` random [`LABELS`] joined with dots, each `.` before `tail`.
+fn labels_before(rng: &mut TestRng, labels: usize, tail: &str) -> String {
+    let mut host = String::new();
+    for _ in 0..labels {
+        host.push_str(pick(rng, LABELS));
+        host.push('.');
+    }
+    host.push_str(tail);
+    host
+}
+
+/// A name of exactly `len` bytes: 63-byte labels, then a shorter last one.
+fn name_of_len(len: usize) -> String {
+    let mut name = String::new();
+    while len - name.len() > 64 {
+        name.push_str(&"b".repeat(63));
+        name.push('.');
+    }
+    name.push_str(&"c".repeat(len - name.len()));
+    name
+}
+
+/// A host for the differential target.
+fn diff_host(rng: &mut TestRng) -> String {
+    let host = match rng.below(6) {
+        // Near-IPv4: leading zeros, 3 or 5 parts, out-of-range octets.
+        0 => {
+            let parts = rng.usize_in(3, 6);
+            (0..parts)
+                .map(|_| {
+                    pick(
+                        rng,
+                        &["0", "1", "01", "00", "9", "255", "256", "999", "1234", ""],
+                    )
+                })
+                .collect::<Vec<_>>()
+                .join(".")
+        }
+        1 => {
+            let labels = rng.usize_in(0, 5);
+            let last = pick(rng, LABELS);
+            labels_before(rng, labels, last)
+        }
+        // Around the 253-byte name limit, and one 64-byte label.
+        2 => match rng.below(5) {
+            4 => "d".repeat(64),
+            k => name_of_len(252 + k as usize),
+        },
+        3 => {
+            let suffixes: Vec<&str> = public_suffixes().collect();
+            let labels = rng.usize_in(0, 4);
+            let suffix = pick(rng, &suffixes);
+            labels_before(rng, labels, suffix)
+        }
+        4 => host(rng),
+        _ => soup(rng),
+    };
+    let host = if rng.below(3) == 0 {
+        mixed_case(rng, &host)
+    } else {
+        host
+    };
+    match rng.below(6) {
+        0 => host + ".",
+        1 => host + "..",
+        _ => host,
+    }
+}
+
+/// A URL for the differential target, from the shapes listed in the
+/// module docs.
+fn diff_url(rng: &mut TestRng) -> String {
+    let pad = |rng: &mut TestRng| {
+        pick(
+            rng,
+            &[
+                "", "", "", " ", "\u{2003}", "\u{a0}", "\u{85}", "\u{3000}", "\t",
+            ],
+        )
+    };
+    let (front, back) = (pad(rng), pad(rng));
+    let scheme = scheme(rng);
+    let scheme = mixed_case(rng, scheme);
+    let user = pick(
+        rng,
+        &[
+            "", "", "", "u@", "u:p@", "a@b@", "@", ":@", "u:1@", "h:80@", "é@",
+        ],
+    );
+    let host = diff_host(rng);
+    let port = pick(
+        rng,
+        &[
+            "",
+            "",
+            "",
+            ":",
+            ":80",
+            ":0080",
+            ":000000000080",
+            ":65535",
+            ":65536",
+            ":99999",
+            ":x",
+            ":8a",
+            ":-1",
+            ":+1",
+            ":\u{661}",
+            "::80",
+            ":80:",
+        ],
+    );
+    let tail = if rng.below(2) == 0 {
+        rest(rng)
+    } else {
+        pick(
+            rng,
+            &[
+                "",
+                "/",
+                "?",
+                "#",
+                "/a\u{2003}?",
+                "?q#f",
+                "/p\u{3000}#x",
+                "@x/",
+            ],
+        )
+        .to_string()
+    };
+    format!("{front}{scheme}://{user}{host}{port}{tail}{back}")
+}
+
+/// The parts of a URL that its equality compares: path and query
+/// together fix the path-and-query buffer and where the query starts.
+fn parts(u: &Url) -> oracle::Parts {
+    (
+        u.scheme(),
+        u.host().clone(),
+        u.port(),
+        u.path().to_string(),
+        u.query().map(str::to_string),
+    )
+}
+
+/// Asserts the URL, host and registrable-domain answers for `input`
+/// equal the oracles'.
+fn assert_matches_oracles(input: &str, host: &str, case: u64) {
+    assert_eq!(
+        Url::parse(input).map(|u| parts(&u)),
+        oracle::url_parse(input),
+        "case {case}: Url::parse({input:?})"
+    );
+    assert_eq!(
+        Host::parse(host),
+        oracle::host_parse(host),
+        "case {case}: Host::parse({host:?})"
+    );
+    assert_eq!(
+        second_level_domain(host),
+        oracle::second_level_domain(host),
+        "case {case}: second_level_domain({host:?})"
+    );
+}
+
+#[test]
+fn fuzz_parsers_match_the_replaced_forms() {
+    // Every suffix-list entry with zero to three labels prepended, bare
+    // and with a trailing dot.
+    let mut rng = TestRng::for_case("url_oracle_suffixes", 0);
+    for suffix in public_suffixes() {
+        for labels in 0..4 {
+            let host = labels_before(&mut rng, labels, suffix);
+            for host in [host.clone(), host.to_ascii_lowercase(), format!("{host}.")] {
+                assert_matches_oracles(&format!("http://{host}/"), &host, 0);
+            }
+        }
+    }
+    let mut parsed = 0u64;
+    for case in 0..fuzz_cases() {
+        let mut rng = TestRng::for_case("url_oracle", case);
+        let host = diff_host(&mut rng);
+        let input = if rng.below(4) == 0 {
+            let mut s = diff_url(&mut rng);
+            let at = s
+                .char_indices()
+                .map(|(i, _)| i)
+                .nth(rng.usize_in(0, s.chars().count() + 1))
+                .unwrap_or(s.len());
+            s.insert_str(at, &soup(&mut rng));
+            s
+        } else {
+            diff_url(&mut rng)
+        };
+        parsed += u64::from(Url::parse(&input).is_ok());
+        assert_matches_oracles(&input, &host, case);
+    }
+    // Both outcomes must be exercised.
+    assert!(parsed > 0 && parsed < fuzz_cases(), "{parsed} parsed");
+}
+
+/// The parsers and the registrable-domain walk as they were before the
+/// one-pass scans and the suffix-first lookup replaced them.
+mod oracle {
+    use sockscope_urlkit::host::{HostError, Ipv4Text};
+    use sockscope_urlkit::psl::public_suffixes;
+    use sockscope_urlkit::{Host, ParseError, Scheme};
+
+    /// Scheme, host, port, path and query of a parsed URL.
+    pub type Parts = (Scheme, Host, u16, String, Option<String>);
+
+    pub fn url_parse(input: &str) -> Result<Parts, ParseError> {
+        let input = input.trim();
+        if input.bytes().any(|b| b.is_ascii_control() || b == b' ') {
+            return Err(ParseError::BadChar);
+        }
+        let (scheme_str, rest) = input.split_once(':').ok_or(ParseError::BadScheme)?;
+        let scheme = [Scheme::Http, Scheme::Https, Scheme::Ws, Scheme::Wss]
+            .into_iter()
+            .find(|s| scheme_str.eq_ignore_ascii_case(s.as_str()))
+            .ok_or(ParseError::BadScheme)?;
+        let rest = rest
+            .strip_prefix("//")
+            .ok_or(ParseError::MissingSeparator)?;
+        let authority_end = rest.find(['/', '?', '#']).unwrap_or(rest.len());
+        let authority = &rest[..authority_end];
+        let tail = &rest[authority_end..];
+        let hostport = authority
+            .rsplit_once('@')
+            .map(|(_, hp)| hp)
+            .unwrap_or(authority);
+        let (host_str, port) = match hostport.rsplit_once(':') {
+            Some((h, p)) if p.bytes().all(|b| b.is_ascii_digit()) && !p.is_empty() => {
+                (h, p.parse::<u16>().map_err(|_| ParseError::BadPort)?)
+            }
+            Some((_, p)) if !p.is_empty() => return Err(ParseError::BadPort),
+            _ => (hostport, scheme.default_port()),
+        };
+        let host = host_parse(host_str).map_err(ParseError::BadHost)?;
+        let tail = tail.split('#').next().unwrap_or("");
+        let (path, query) = match tail.split_once('?') {
+            Some((p, q)) => (p, q.trim_end()),
+            None => (tail, ""),
+        };
+        let path = if query.is_empty() {
+            path.trim_end()
+        } else {
+            path
+        };
+        let path = if path.is_empty() { "/" } else { path };
+        let query = (!query.is_empty()).then(|| query.to_string());
+        Ok((scheme, host, port, path.to_string(), query))
+    }
+
+    pub fn host_parse(input: &str) -> Result<Host, HostError> {
+        if input.is_empty() {
+            return Err(HostError::Empty);
+        }
+        if let Some(ip) = parse_ipv4(input) {
+            return Ok(Host::Ipv4(Ipv4Text::new(ip)));
+        }
+        if input.len() > 253 {
+            return Err(HostError::TooLong);
+        }
+        for label in input.split('.') {
+            if label.is_empty() {
+                return Err(HostError::EmptyLabel);
+            }
+            if label.len() > 63 {
+                return Err(HostError::TooLong);
+            }
+            if label.starts_with('-') || label.ends_with('-') {
+                return Err(HostError::BadHyphen);
+            }
+            for c in label.chars() {
+                if !(c.is_ascii_alphanumeric() || c == '-' || c == '_') {
+                    return Err(HostError::BadChar(c));
+                }
+            }
+        }
+        Ok(Host::Domain(input.to_ascii_lowercase()))
+    }
+
+    fn parse_ipv4(s: &str) -> Option<[u8; 4]> {
+        let mut parts = s.split('.');
+        let mut out = [0u8; 4];
+        for slot in &mut out {
+            let p = parts.next()?;
+            if p.is_empty() || p.len() > 3 || !p.bytes().all(|b| b.is_ascii_digit()) {
+                return None;
+            }
+            if p.len() > 1 && p.starts_with('0') {
+                return None;
+            }
+            *slot = p.parse().ok()?;
+        }
+        if parts.next().is_some() {
+            return None;
+        }
+        Some(out)
+    }
+
+    /// One-label candidates match one-label entries, two- and
+    /// three-label candidates the multi-label ones, longer ones nothing.
+    fn is_public_suffix(domain: &str) -> bool {
+        domain.matches('.').count() < 3 && public_suffixes().any(|s| s == domain)
+    }
+
+    pub fn second_level_domain(host: &str) -> &str {
+        let host = host.strip_suffix('.').unwrap_or(host);
+        let mut above: Option<usize> = None;
+        let mut start = 0;
+        loop {
+            if is_public_suffix(&host[start..]) {
+                return above.map_or(host, |a| &host[a..]);
+            }
+            match host[start..].find('.') {
+                Some(dot) => {
+                    above = Some(start);
+                    start += dot + 1;
+                }
+                None => break,
+            }
+        }
+        match host.rfind('.') {
+            Some(last) => host[..last].rfind('.').map_or(host, |d| &host[d + 1..]),
+            None => host,
+        }
+    }
 }

@@ -213,8 +213,8 @@ fn host_strategy() -> impl Strategy<Value = String> {
         })
 }
 
-/// The `Vec`-of-label-starts `second_level_domain` that the in-place label
-/// walk replaced: the oracle for the property below.
+/// The `Vec`-of-label-starts form of `second_level_domain`, walking every
+/// suffix of the host: the oracle for the property below.
 fn second_level_domain_oracle(host: &str) -> &str {
     let host = host.strip_suffix('.').unwrap_or(host);
     let mut starts: Vec<usize> = vec![0];
@@ -240,7 +240,7 @@ fn second_level_domain_oracle(host: &str) -> &str {
 }
 
 proptest! {
-    /// The in-place label walk agrees with the `Vec`-based original.
+    /// The suffix-first lookup agrees with the `Vec`-based walk.
     #[test]
     fn sld_label_walk_matches_the_vec_oracle(host in host_strategy()) {
         prop_assert_eq!(
