@@ -26,8 +26,8 @@
 //! `perf --check [path]` re-reads a written report and validates the
 //! schema: every key present, every timing positive, the memory counters
 //! nonzero where the pipeline allocates, both speedups finite. CI's
-//! perf-smoke and stream-identity jobs run the harness at
-//! `SOCKSCOPE_SITES=2000` and then `--check` the artifact.
+//! perf-smoke job runs the harness at `SOCKSCOPE_SITES=2000` and then
+//! `--check`s the artifact; the orchestrator job does the same at 10000.
 
 use serde::{Deserialize, Serialize};
 use sockscope_analysis::{CrawlReduction, FusedShard, PiiLibrary, Study};

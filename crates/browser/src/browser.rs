@@ -17,8 +17,6 @@ use crate::network::{self, Direction};
 use crate::webrequest::{ExtensionHost, RequestDetails};
 use sockscope_arena::Arena;
 use sockscope_faults::{FaultContext, FaultDecision};
-#[cfg(debug_assertions)]
-use sockscope_httpwire as httpwire;
 use sockscope_urlkit::Url;
 use sockscope_webmodel::{Action, Page, ScriptRef, SentItem, ValueContext, WebHost};
 use std::borrow::Cow;
@@ -341,61 +339,16 @@ impl<'ar> VisitState<'_, '_, '_, 'ar> {
         id
     }
 
-    /// Materializes an HTTP exchange. Debug builds serialize a real
-    /// HTTP/1.1 request (Host/UA/Cookie headers) and response
-    /// (Content-Length or chunked framing, picked deterministically), parse
-    /// them back, and assert the body crossed the `sockscope-httpwire`
-    /// codec unchanged — mirroring how WebSocket payloads cross
-    /// `sockscope-wsproto`. Release builds advance the framing seed
-    /// identically (so every downstream random draw matches) and hand the
-    /// body straight to the arena: the wire round-trip is a pure identity
-    /// that debug CI pins on every run.
-    fn http_exchange(&mut self, url: &Url, mime: &str, body: &[u8]) -> &'ar [u8] {
-        // Deterministic framing choice: ~30% of tracker responses ride
-        // chunked transfer encoding.
+    /// Materializes an HTTP response body, as CDP would report it. Advances
+    /// the seed that later WebSocket nonces and mask keys derive from, so
+    /// those bytes match their pin, then copies the body into the visit
+    /// arena.
+    fn http_exchange(&mut self, body: &[u8]) -> &'ar [u8] {
         self.ws_seed = self
             .ws_seed
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1);
-        #[cfg(debug_assertions)]
-        self.wire_identity_check(url, mime, body);
-        #[cfg(not(debug_assertions))]
-        let _ = (url, mime);
         self.arena.alloc_bytes(body)
-    }
-
-    /// The full wire round-trip `http_exchange` elides in release builds,
-    /// asserting it is the identity on the body.
-    #[cfg(debug_assertions)]
-    fn wire_identity_check(&self, url: &Url, mime: &str, body: &[u8]) {
-        let mut target = url.path().to_string();
-        if let Some(q) = url.query() {
-            target.push('?');
-            target.push_str(q);
-        }
-        let mut request = httpwire::Request::get(url.host_str(), &target)
-            .with_header("User-Agent", &self.browser.config.user_agent)
-            .with_header("Accept", "*/*");
-        if let Some(cookie) = self.jar.header_for(url.host_str()) {
-            request = request.with_header("Cookie", &cookie);
-        }
-        let wire_request = request.to_bytes();
-        debug_assert!(
-            httpwire::Request::parse(&wire_request).is_ok(),
-            "browser must emit parseable requests"
-        );
-        let response = httpwire::Response::ok(mime, body.to_vec());
-        let wire = if self.ws_seed >> 33 & 0xF < 5 {
-            let chunk = 64 + (self.ws_seed >> 40 & 0x3F) as usize;
-            response.to_chunked_bytes(chunk)
-        } else {
-            response.to_bytes()
-        };
-        let parsed = httpwire::Response::parse(&wire).expect("browser-generated responses reparse");
-        assert_eq!(
-            parsed.body, body,
-            "HTTP bodies must cross the wire codec unchanged"
-        );
     }
 
     /// Consults the fault oracle for an HTTP subresource fetch. Returns the
@@ -595,7 +548,7 @@ impl<'ar> VisitState<'_, '_, '_, 'ar> {
                     let rendered =
                         arena.build_bytes(|b| ctx.render_received_into(receive, host, b));
                     let mime = guess_mime(receive);
-                    let body = self.http_exchange(&parsed, mime, rendered);
+                    let body = self.http_exchange(rendered);
                     let ground = arena.alloc_concat(sent, GROUND_UA);
                     self.sink.on_event(CdpEvent::ResponseReceived {
                         request_id: rid,
@@ -644,7 +597,7 @@ impl<'ar> VisitState<'_, '_, '_, 'ar> {
             return;
         }
         let ground = self.arena.alloc_concat(sent, GROUND_UA);
-        let body = self.http_exchange(&parsed, "image/png", PNG_STUB);
+        let body = self.http_exchange(PNG_STUB);
         self.sink.on_event(CdpEvent::ResponseReceived {
             request_id: rid,
             url: Cow::Borrowed(full),
@@ -1195,6 +1148,51 @@ mod tests {
         let xhr_url = xhr_url.unwrap();
         assert!(xhr_url.contains("user_id=client_"));
         assert!(xhr_url.contains("screen="));
+    }
+
+    /// The `Sec-WebSocket-Key` of the one socket a visit to a page whose
+    /// inline script runs `actions` opens.
+    fn ws_key_after(actions: Vec<Action>) -> String {
+        let mut h = StaticHost::new();
+        let mut page = Page::new("http://p.example/", "P");
+        let script = actions
+            .into_iter()
+            .fold(ScriptBehavior::inert(), ScriptBehavior::then)
+            .then(Action::OpenWebSocket {
+                url: "ws://rt.example/s".into(),
+                exchanges: vec![],
+            });
+        page.scripts = vec![ScriptRef::Inline(script)];
+        h.add_page(page);
+        h.add_ws_server("ws://rt.example/s", WsServerProfile::accepting());
+        let b = stock_browser(&h, BrowserEra::PreChrome58);
+        let v = b.visit("http://p.example/").unwrap();
+        let hs = v.events.iter().find_map(|e| match e {
+            CdpEvent::WebSocketWillSendHandshakeRequest { request, .. } => {
+                Some(String::from_utf8_lossy(request).to_string())
+            }
+            _ => None,
+        });
+        let hs = hs.unwrap();
+        let key = hs
+            .lines()
+            .find_map(|l| l.strip_prefix("Sec-WebSocket-Key: "));
+        key.unwrap().to_string()
+    }
+
+    #[test]
+    fn http_exchanges_advance_the_socket_nonce_seed() {
+        // Every HTTP exchange advances the seed that WebSocket nonces and
+        // mask keys derive from, so a socket opened after an image fetch
+        // carries a different key. The pinned key keeps those bytes
+        // identical across refactors of the HTTP path.
+        let image = Action::FetchImage {
+            url: "http://img.example/a.png".into(),
+            sent: vec![],
+        };
+        let after_image = ws_key_after(vec![image]);
+        assert_ne!(after_image, ws_key_after(vec![]));
+        assert_eq!(after_image, "zNFt/BETviGSodqPvGKmaw==");
     }
 
     fn fault_ctx(profile: sockscope_faults::FaultProfile) -> FaultContext {

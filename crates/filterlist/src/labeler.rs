@@ -12,30 +12,26 @@
 //! `d10lpsik1i8c69.cloudfront.net`). [`Labeler::with_cdn_override`] carries
 //! that table.
 
-use sockscope_intern::{Interner, Sym};
 use sockscope_urlkit::second_level_domain;
 use std::collections::{HashMap, HashSet};
 
+/// Resolves a hostname to its aggregation key: the CDN override if one
+/// exists, else the second-level domain.
+fn aggregation_key(cdn_overrides: &HashMap<String, String>, host: &str) -> String {
+    let host = host.to_ascii_lowercase();
+    if let Some(company) = cdn_overrides.get(&host) {
+        return company.clone();
+    }
+    second_level_domain(&host).to_string()
+}
+
 /// Accumulates per-domain A&A / non-A&A tag counts.
-///
-/// Internally every hostname and aggregation key lives once in a
-/// [`Interner`] arena and flows through the hot path as a [`Sym`]: the
-/// count table and the host→key memo are symbol-keyed, so the
-/// steady-state [`Labeler::observe`] does two integer-keyed map hits and
-/// zero string allocations. The public API stays `&str`-shaped — symbols
-/// never escape the labeler.
 #[derive(Debug, Clone, Default)]
 pub struct Labeler {
-    /// One arena for raw hostnames *and* derived aggregation keys.
-    symbols: Interner,
-    /// Aggregation-key symbol → `(a(d), n(d))`.
-    counts: HashMap<Sym, (u64, u64)>,
+    /// Aggregation key → `(a(d), n(d))`.
+    counts: HashMap<String, (u64, u64)>,
     /// Fully-qualified CDN hostname → owning A&A company's 2nd-level domain.
     cdn_overrides: HashMap<String, String>,
-    /// Memoized host symbol → aggregation-key symbol. Crawls observe the
-    /// same few hosts millions of times; without this every
-    /// [`Labeler::observe`] re-lowercases the host and re-derives its SLD.
-    key_cache: HashMap<Sym, Sym>,
 }
 
 impl Labeler {
@@ -53,19 +49,7 @@ impl Labeler {
     ) -> Labeler {
         self.cdn_overrides
             .insert(fq_host.into().to_ascii_lowercase(), company_domain.into());
-        // Cached keys may predate this override.
-        self.key_cache.clear();
         self
-    }
-
-    /// Resolves a hostname to its aggregation key: the CDN override if one
-    /// exists, else the second-level domain.
-    pub fn aggregation_key(&self, host: &str) -> String {
-        let host = host.to_ascii_lowercase();
-        if let Some(company) = self.cdn_overrides.get(&host) {
-            return company.clone();
-        }
-        second_level_domain(&host).to_string()
     }
 
     /// Records one observation of `host`, tagged A&A or not.
@@ -74,51 +58,34 @@ impl Labeler {
     }
 
     /// Records `tagged_aa` A&A and `untagged` non-A&A observations of
-    /// `host` at once. The steady-state path (host seen before) performs
-    /// no allocation: the host resolves to its interned symbol, the memo
-    /// maps it to the key symbol, and the counts slot is updated in place.
+    /// `host` at once.
     pub fn observe_counts(&mut self, host: &str, tagged_aa: u64, untagged: u64) {
         if tagged_aa == 0 && untagged == 0 {
             return;
         }
-        let host_sym = self.symbols.intern(host);
-        let key_sym = match self.key_cache.get(&host_sym) {
-            Some(&key) => key,
-            None => {
-                let key = self.aggregation_key(host);
-                let key = self.symbols.intern(&key);
-                self.key_cache.insert(host_sym, key);
-                key
-            }
-        };
-        let entry = self.counts.entry(key_sym).or_insert((0, 0));
+        let key = aggregation_key(&self.cdn_overrides, host);
+        let entry = self.counts.entry(key).or_insert((0, 0));
         entry.0 += tagged_aa;
         entry.1 += untagged;
     }
 
     /// `a(d)` — A&A-tagged observations of domain `d`.
     pub fn aa_count(&self, domain: &str) -> u64 {
-        self.count_slot(domain).map(|c| c.0).unwrap_or(0)
+        self.counts.get(domain).map_or(0, |c| c.0)
     }
 
     /// `n(d)` — non-A&A observations of domain `d`.
     pub fn non_aa_count(&self, domain: &str) -> u64 {
-        self.count_slot(domain).map(|c| c.1).unwrap_or(0)
-    }
-
-    fn count_slot(&self, domain: &str) -> Option<&(u64, u64)> {
-        self.symbols
-            .get(domain)
-            .and_then(|sym| self.counts.get(&sym))
+        self.counts.get(domain).map_or(0, |c| c.1)
     }
 
     /// Builds `D'`: all domains with `a(d) ≥ threshold · n(d)` and
     /// `a(d) > 0`. The paper uses `threshold = 0.1`.
     pub fn finalize(&self, threshold: f64) -> AaDomainSet {
         let mut domains = HashSet::new();
-        for (&d, &(a, n)) in &self.counts {
+        for (d, &(a, n)) in &self.counts {
             if a > 0 && a as f64 >= threshold * n as f64 {
-                domains.insert(self.symbols.resolve(d).to_string());
+                domains.insert(d.clone());
             }
         }
         AaDomainSet {
@@ -166,11 +133,7 @@ impl AaDomainSet {
 
     /// Resolves a hostname to its aggregation key (CDN override or SLD).
     pub fn aggregation_key(&self, host: &str) -> String {
-        let host = host.to_ascii_lowercase();
-        if let Some(company) = self.cdn_overrides.get(&host) {
-            return company.clone();
-        }
-        second_level_domain(&host).to_string()
+        aggregation_key(&self.cdn_overrides, host)
     }
 
     /// Is this hostname's aggregation key in `D'`?
