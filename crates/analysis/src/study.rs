@@ -133,24 +133,35 @@ impl Study {
             let era_web = web.for_era(era.clone());
             let era_engine = evolving.then(|| Study::engine_for(&era_web));
             let engine = era_engine.as_ref().unwrap_or(&base_engine);
-            let mut reduction = sockscope_crawler::crawl_orchestrated(
-                &era_web,
-                &crawl_config,
-                &orch,
-                &|| sockscope_browser::ExtensionHost::stock(sockscope_crawler::browser_era(era)),
-                // Each worker owns its classification context; the reduce
-                // stage folds the per-site reductions they emit in
-                // ascending site order.
-                &|| FusedShard::new(era.label(), era.pre_patch(), engine),
-                &|worker: &mut FusedShard<'_>| worker.take_site_reduction(),
-                &|| CrawlReduction::new(era.label(), era.pre_patch()),
-                &|acc: &mut CrawlReduction, site| acc.absorb(site),
-            );
-            reduction.normalize();
-            reductions.push(reduction);
+            reductions.push(Study::crawl_era(&era_web, engine, &crawl_config, &orch));
         }
 
         Study::assemble(&web, base_engine, reductions)
+    }
+
+    /// Crawls the era `era_web` was built for with the work-stealing
+    /// orchestrator: each worker owns a stream-fused shard that classifies
+    /// against `engine`, and the reduce stage folds the per-site
+    /// reductions in ascending site order, then normalizes.
+    pub fn crawl_era(
+        era_web: &SyntheticWeb,
+        engine: &Engine,
+        crawl_config: &CrawlConfig,
+        orch: &sockscope_crawler::OrchestratorConfig,
+    ) -> CrawlReduction {
+        let era = &era_web.config().era;
+        let mut reduction = sockscope_crawler::crawl_orchestrated(
+            era_web,
+            crawl_config,
+            orch,
+            &|| sockscope_browser::ExtensionHost::stock(sockscope_crawler::browser_era(era)),
+            &|| FusedShard::new(era.label(), era.pre_patch(), engine),
+            &|worker: &mut FusedShard<'_>| worker.take_site_reduction(),
+            &|| CrawlReduction::new(era.label(), era.pre_patch()),
+            &|acc: &mut CrawlReduction, site| acc.absorb(site),
+        );
+        reduction.normalize();
+        reduction
     }
 
     /// Derives the orchestrator's concurrency config from a study config:

@@ -17,6 +17,9 @@
 //!
 //! Company behaviour is held fixed (the pre-patch web), so any difference
 //! is the interposition mechanics alone.
+//!
+//! Takes `sockscope run`'s study flags (default `--sites 3000`) and crawls
+//! the universe and crawl config they describe; `--eras` does not apply.
 
 use sockscope::browser::{AdBlockerExtension, BrowserEra, ExtensionHost};
 use sockscope::crawler::{
@@ -24,7 +27,11 @@ use sockscope::crawler::{
 };
 use sockscope::filterlist::Engine;
 use sockscope::inclusion::NodeKind;
-use sockscope::webgen::{SyntheticWeb, WebGenConfig};
+use sockscope::webgen::SyntheticWeb;
+use sockscope::Study;
+
+const USAGE: &str = "ablation_wrb [--sites N] [--seed HEX] [--threads N] [--workers N] \
+                     [--queue-depth N] [--faults PROFILE]";
 
 #[derive(Default)]
 struct Outcome {
@@ -55,10 +62,11 @@ impl Outcome {
 
 fn run(
     web: &SyntheticWeb,
+    crawl_config: &CrawlConfig,
+    orch: &OrchestratorConfig,
     era: BrowserEra,
     legacy_filters: bool,
     shim: bool,
-    threads: usize,
 ) -> Outcome {
     // The blocker gets extra socket-aware rules for the A&A endpoints —
     // the uBO-mitigation-era configuration.
@@ -71,14 +79,10 @@ fn run(
             list.push_str(&format!("||{}^$websocket\n", company.ws_host));
         }
     }
-    let orch = OrchestratorConfig {
-        workers: threads,
-        ..OrchestratorConfig::default()
-    };
     crawl_orchestrated(
         web,
-        &CrawlConfig::default(),
-        &orch,
+        crawl_config,
+        orch,
         &|| {
             let (engine, _) = Engine::parse(&list);
             let mut blocker = AdBlockerExtension::new("abp", engine);
@@ -99,29 +103,29 @@ fn run(
 }
 
 fn main() {
-    let n_sites: usize = std::env::var("SOCKSCOPE_SITES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3_000);
-    let threads = std::env::var("SOCKSCOPE_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        });
-    eprintln!("[sockscope] WRB ablation: {n_sites} sites, {threads} threads");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let config = sockscope_bench::study_config_or_exit(&args, 3_000, USAGE);
+    if !config.timeline.is_paper() {
+        sockscope_bench::usage_error(
+            "the WRB ablation crawls one fixed pre-patch era; --eras does not apply",
+            USAGE,
+        );
+    }
+    let crawl_config = Study::crawl_config(&config);
+    let orch = Study::orchestrator_config(&config);
+    eprintln!(
+        "[sockscope] WRB ablation: {} sites, {} workers",
+        config.n_sites, orch.workers
+    );
     // Fixed pre-patch web: DoubleClick & friends are still opening sockets.
-    let web = SyntheticWeb::new(WebGenConfig {
-        n_sites,
-        ..WebGenConfig::default()
-    });
+    let web = Study::universe(&config);
+    let run =
+        |era, legacy_filters, shim| run(&web, &crawl_config, &orch, era, legacy_filters, shim);
 
-    let wrb = run(&web, BrowserEra::PreChrome58, false, false, threads);
-    let patched = run(&web, BrowserEra::PostChrome58, false, false, threads);
-    let legacy = run(&web, BrowserEra::PostChrome58, true, false, threads);
-    let shimmed = run(&web, BrowserEra::PreChrome58, false, true, threads);
+    let wrb = run(BrowserEra::PreChrome58, false, false);
+    let patched = run(BrowserEra::PostChrome58, false, false);
+    let legacy = run(BrowserEra::PostChrome58, true, false);
+    let shimmed = run(BrowserEra::PreChrome58, false, true);
 
     println!("WRB ablation (identical pre-patch web, ad blocker installed)\n");
     println!(

@@ -15,19 +15,23 @@
 //! third-party-script socket is misattributed to the publisher under
 //! Referer semantics — and with it, the entire A&A-initiator analysis
 //! (Table 1's columns 3–4) collapses.
+//!
+//! Takes `sockscope run`'s study flags (default `--sites 4000`).
 
-use sockscope::{Study, StudyConfig};
+use sockscope::Study;
+
+const USAGE: &str = "attribution_ablation [--sites N] [--seed HEX] [--threads N] \
+                     [--workers N] [--queue-depth N] [--faults PROFILE] [--eras N]";
 
 fn main() {
-    let n_sites: usize = std::env::var("SOCKSCOPE_SITES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4_000);
-    eprintln!("[sockscope] attribution ablation: {n_sites} sites x 4 crawls");
-    let study = Study::run(&StudyConfig {
-        n_sites,
-        ..StudyConfig::default()
-    });
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let config = sockscope_bench::study_config_or_exit(&args, 4_000, USAGE);
+    eprintln!(
+        "[sockscope] attribution ablation: {} sites x {} crawls",
+        config.n_sites,
+        config.timeline.len()
+    );
+    let study = Study::run(&config);
 
     let mut total = 0usize;
     let mut misattributed = 0usize;

@@ -1,17 +1,16 @@
 //! End-to-end pipeline perf harness → `BENCH_pipeline.json`.
 //!
 //! Runs the study pipeline stage by stage — universe generation, filter
-//! parsing, the orchestrated **stream-fused** crawl+classify pipeline
-//! `Study::run` drives, the serial record-materializing reference crawl
-//! ([`sockscope_crawler::crawl_reference`]), batch reduction — timing
+//! parsing, and the orchestrated **stream-fused** crawl+classify pipeline
+//! [`Study::crawl_era`] drives for every era of [`Study::run`] — timing
 //! each separately and, via a counting global allocator, recording each
 //! stage's **peak live bytes** (net of what was already live when the
-//! stage began) and **total allocations**. The orchestrated and reference
-//! pipelines must produce identical reductions; the harness asserts that,
-//! then reports `memory.peak_ratio` — how many times more live memory
-//! the record path holds at its worst than the orchestrated one. Finally it
-//! races the two matcher hot paths against their retained reference
-//! engines on a corpus extracted from the crawl itself:
+//! stage began) and **total allocations**. Whether those reductions are
+//! right is the identity suites' question (`orchestrator_identity`,
+//! `stream_identity`, the pinned crc); this harness only measures them.
+//! It then races the two matcher hot paths against their retained
+//! reference engines on a corpus harvested from a record-producing crawl
+//! of the same eras:
 //!
 //! * **classify** — `RegexSet` PII classification (per-pattern prefilter,
 //!   then that pattern's lazy DFA) vs the per-regex Pike-VM scan
@@ -21,17 +20,22 @@
 //!
 //! The result (wall times, memory counters, messages/sec, URLs/sec,
 //! lazy-DFA cache counters, token-index coverage) is written to
-//! `BENCH_pipeline.json`. Scale comes from the usual `SOCKSCOPE_*` knobs.
+//! `BENCH_pipeline.json`. Scale comes from `sockscope run`'s study flags:
+//! `perf --sites 2000`.
 //!
 //! `perf --check [path]` re-reads a written report and validates the
 //! schema: every key present, every timing positive, the memory counters
-//! nonzero where the pipeline allocates, both speedups finite. CI's
-//! perf-smoke job runs the harness at `SOCKSCOPE_SITES=2000` and then
-//! `--check`s the artifact; the orchestrator job does the same at 10000.
+//! nonzero where the pipeline allocates, both speedups finite, and the
+//! orchestrated allocations per site under a ceiling. CI's perf-smoke job
+//! checks the committed report, then runs `perf --sites 2000` and checks
+//! the fresh one.
+//!
+//! [`Engine::evaluate_reference`]: sockscope_filterlist::Engine::evaluate_reference
 
 use serde::{Deserialize, Serialize};
-use sockscope_analysis::{CrawlReduction, FusedShard, PiiLibrary, Study};
-use sockscope_crawler::{crawl_reference, SiteRecord};
+use sockscope::StudyConfig;
+use sockscope_analysis::{PiiLibrary, Study};
+use sockscope_crawler::{RecordSink, SiteRecord};
 use sockscope_exec::memmeter::{CountingAlloc, Meter, StageStats};
 use sockscope_filterlist::{RequestContext, ResourceType};
 use sockscope_inclusion::NodeKind;
@@ -91,16 +95,15 @@ impl StageReport {
 /// Corpus sizes are recorded in the report, so a capped run is visible.
 const MAX_CORPUS: usize = 250_000;
 
-const SCHEMA: &str = "sockscope-bench-pipeline/7";
+const SCHEMA: &str = "sockscope-bench-pipeline/8";
 const DEFAULT_PATH: &str = "BENCH_pipeline.json";
 
 /// Allocation-regression gate (`perf --check`): the orchestrated
 /// pipeline must not exceed this many allocations per site across the
-/// four eras. Post-arena measurements sat near 27.1k/site (the pre-arena
-/// baseline was ~49.5k/site); the ceiling carries headroom for scale and
-/// machine variance but fails the check long before the old behaviour
-/// could sneak back in.
-const ORCHESTRATED_ALLOCS_PER_SITE_CEILING: f64 = 32_000.0;
+/// four eras. Measured at 9,380/site (2,000 sites) and 9,410/site (8,000
+/// sites) on two workers; the ceiling sits 15% above the higher reading
+/// (the pre-arena baseline was ~49.5k/site).
+const ORCHESTRATED_ALLOCS_PER_SITE_CEILING: f64 = 10_800.0;
 
 #[derive(Debug, Serialize, Deserialize)]
 struct BenchReport {
@@ -109,7 +112,6 @@ struct BenchReport {
     threads: usize,
     seed_hex: String,
     stages: Stages,
-    memory: Memory,
     arena: ArenaReport,
     orchestrator: OrchestratorReport,
     supervision: Supervision,
@@ -122,8 +124,8 @@ struct BenchReport {
 }
 
 /// Schema /6: delta-compressed snapshot lineage economics, measured over
-/// an N-era synthetic timeline (`SOCKSCOPE_ERAS`, default 50 for the
-/// committed artifact). Era *k*'s cumulative study snapshot is stored as
+/// an N-era synthetic timeline (`--eras`, default 50 for the committed
+/// artifact). Era *k*'s cumulative study snapshot is stored as
 /// a structural delta against era *k−1*'s; `delta_bytes` is what the
 /// lineage stores (full base + every patch), `full_bytes` what full
 /// per-era snapshots would cost.
@@ -194,11 +196,6 @@ struct Stages {
     /// The crawl driver: the work-stealing pipelined orchestrator over
     /// the stream-fused crawl+classify+reduce pipeline.
     orchestrated_pipeline: StageReport,
-    /// The reference pipeline's crawl: serial, full `SiteRecord`
-    /// materialization (`crawl_reference`).
-    reference_crawl: StageReport,
-    /// The reference pipeline's batch classification + reduction.
-    reference_reduction: StageReport,
 }
 
 /// The orchestrator's scheduling knobs and the large-scale headline row
@@ -220,21 +217,10 @@ struct OrchestratorReport {
     /// `headline_sites / headline_seconds`.
     headline_sites_per_s: f64,
     /// Crawl workers the headline run itself used (schema /5). The
-    /// headline runs under its own environment, so the differential row's
+    /// headline runs under its own flags, so the differential row's
     /// `workers` says nothing about it; 0 means the headline predates
     /// this field and its worker count is unrecorded.
     headline_workers: usize,
-}
-
-/// The headline memory comparison.
-#[derive(Debug, Serialize, Deserialize)]
-struct Memory {
-    /// Net peak live bytes of the orchestrated crawl+classify+reduce stage.
-    orchestrated_peak_bytes: u64,
-    /// Net peak live bytes across the reference crawl + reduction stages.
-    reference_peak_bytes: u64,
-    /// `reference_peak_bytes / orchestrated_peak_bytes`.
-    peak_ratio: f64,
 }
 
 #[derive(Debug, Serialize, Deserialize)]
@@ -309,6 +295,37 @@ struct Corpus {
 }
 
 impl Corpus {
+    /// Crawls `era_web` into site records and harvests each one as the
+    /// reducer receives it; the record is dropped once harvested, so no
+    /// stage holds the era's record set.
+    fn harvest_era(
+        &mut self,
+        era_web: &sockscope_webgen::SyntheticWeb,
+        crawl_config: &sockscope_crawler::CrawlConfig,
+        orch: &sockscope_crawler::OrchestratorConfig,
+    ) {
+        if self.messages.len() == MAX_CORPUS && self.requests.len() == MAX_CORPUS {
+            return; // a full corpus takes nothing from later eras
+        }
+        let era = &era_web.config().era;
+        let harvested = sockscope_crawler::crawl_orchestrated(
+            era_web,
+            crawl_config,
+            orch,
+            &|| sockscope_browser::ExtensionHost::stock(sockscope_crawler::browser_era(era)),
+            &RecordSink::default,
+            &|sink: &mut RecordSink| sink.take_record().expect("one record per site"),
+            &Corpus::default,
+            &|corpus: &mut Corpus, record| corpus.harvest(&record),
+        );
+        let room = MAX_CORPUS - self.messages.len();
+        self.messages
+            .extend(harvested.messages.into_iter().take(room));
+        let room = MAX_CORPUS - self.requests.len();
+        self.requests
+            .extend(harvested.requests.into_iter().take(room));
+    }
+
     fn harvest(&mut self, record: &SiteRecord) {
         for tree in &record.trees {
             for node in tree.nodes() {
@@ -347,73 +364,69 @@ impl Corpus {
     }
 }
 
+const USAGE: &str = "perf [study flags] | perf --headline [path] [study flags] | \
+                     perf --longitudinal [path] [study flags] | perf --check [path]\n\
+                     study flags are `sockscope run`'s: --sites N --seed HEX --threads N \
+                     --workers N --queue-depth N --faults PROFILE (--eras N: --longitudinal only)";
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    match args.get(1).map(String::as_str) {
-        Some("--check") => {
-            let path = args.get(2).map(String::as_str).unwrap_or(DEFAULT_PATH);
-            check(path);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (mode, rest) = match args.first().map(String::as_str) {
+        Some(mode @ ("--check" | "--headline" | "--longitudinal")) => (Some(mode), &args[1..]),
+        _ => (None, &args[..]),
+    };
+    // The modes that patch or read a report take its path first.
+    let (path, flags) = match rest.first() {
+        Some(path) if mode.is_some() && !path.starts_with("--") => (path.as_str(), &rest[1..]),
+        _ => (DEFAULT_PATH, rest),
+    };
+    if mode == Some("--check") {
+        if let Some(extra) = flags.first() {
+            sockscope_bench::usage_error(format!("--check takes no flags, got {extra}"), USAGE);
         }
-        Some("--headline") => {
-            let path = args.get(2).map(String::as_str).unwrap_or(DEFAULT_PATH);
-            headline(path);
-        }
-        Some("--longitudinal") => {
-            let path = args.get(2).map(String::as_str).unwrap_or(DEFAULT_PATH);
-            longitudinal(path);
-        }
-        Some(other) => {
-            eprintln!(
-                "unknown argument {other:?}; usage: perf [--check [path] | --headline [path] | --longitudinal [path]]"
-            );
-            std::process::exit(2);
-        }
-        None => run(),
+        check(path);
+        return;
+    }
+    let config = sockscope_bench::study_config_or_exit(flags, 8_000, USAGE);
+    if mode != Some("--longitudinal") && !config.timeline.is_paper() {
+        sockscope_bench::usage_error(
+            "perf measures the paper schedule; --eras applies to --longitudinal only",
+            USAGE,
+        );
+    }
+    match mode {
+        Some("--headline") => headline(path, &config),
+        Some(_) => longitudinal(path, config),
+        None => run(&config),
     }
 }
 
-fn run() {
-    let config = sockscope_bench::study_config_from_env();
+fn run(config: &StudyConfig) {
     eprintln!(
         "[sockscope] perf harness: {} sites x 4 crawls, {} threads, seed {:#x}",
         config.n_sites, config.threads, config.seed
     );
 
     let m = Meter::start();
-    let web = Study::universe(&config);
+    let web = Study::universe(config);
     let universe = m.finish();
 
     let m = Meter::start();
     let engine = Study::engine_for(&web);
     let filters = m.finish();
 
-    let crawl_config = Study::crawl_config(&config);
-    let lib = PiiLibrary::new();
+    let crawl_config = Study::crawl_config(config);
+    let orch = Study::orchestrator_config(config);
 
-    // Orchestrated pipeline first, while nothing but the universe and the
-    // engine is live: the work-stealing pipelined driver over the fused
-    // crawl+classify+reduce sink. This is what `Study::run` executes.
-    let orch = Study::orchestrator_config(&config);
+    // The orchestrated pipeline first, while nothing but the universe and
+    // the engine is live: this is what `Study::run` executes per era.
     let mut orchestrated_pipeline = StageReport::default();
-    let mut orchestrated_reductions = Vec::new();
     for era in CrawlEra::ALL {
         let era_web = web.for_era(era);
-        let make_extensions =
-            || sockscope_browser::ExtensionHost::stock(sockscope_crawler::browser_era(&era.into()));
         let m = Meter::start();
-        let mut reduction = sockscope_crawler::crawl_orchestrated(
-            &era_web,
-            &crawl_config,
-            &orch,
-            &make_extensions,
-            &|| FusedShard::new(era.label(), era.pre_patch(), &engine),
-            &|worker: &mut FusedShard<'_>| worker.take_site_reduction(),
-            &|| CrawlReduction::new(era.label(), era.pre_patch()),
-            &|acc: &mut CrawlReduction, site| acc.absorb(site),
-        );
-        reduction.normalize();
+        let reduction = Study::crawl_era(&era_web, &engine, &crawl_config, &orch);
         orchestrated_pipeline.absorb(m.finish());
-        orchestrated_reductions.push(reduction);
+        drop(reduction);
     }
     eprintln!(
         "[sockscope] orchestrated pipeline ({} workers, queue {}): {:.1}s, peak {:.1} MiB",
@@ -425,70 +438,18 @@ fn run() {
 
     let supervision = measure_supervision(&web, &engine, &crawl_config, &orch);
 
-    // Reference pipeline: materialize full site records serially
-    // (buffered browser path), then classify + reduce them in batch.
     let mut corpus = Corpus::default();
-    let mut reference_crawl = StageReport::default();
-    let mut reference_reduction = StageReport::default();
-    let mut reductions = Vec::new();
     for era in CrawlEra::ALL {
-        let era_web = web.for_era(era);
-
-        // Crawl stage: produce the site records, nothing else.
-        let m = Meter::start();
-        let records = crawl_reference(&era_web, &crawl_config);
-        reference_crawl.absorb(m.finish());
-
-        for record in &records {
-            corpus.harvest(record);
-        }
-
-        // Reduction stage: classify + reduce the records just produced.
-        let m = Meter::start();
-        let mut reduction = CrawlReduction::new(era.label(), era.pre_patch());
-        for record in &records {
-            reduction.observe_site(record, &engine, &lib);
-        }
-        reduction.normalize();
-        reference_reduction.absorb(m.finish());
-        reductions.push(reduction);
-        eprintln!(
-            "[sockscope] crawled {}: crawl {:.1}s cum, reduce {:.1}s cum",
-            era.label(),
-            reference_crawl.seconds,
-            reference_reduction.seconds
-        );
+        corpus.harvest_era(&web.for_era(era), &crawl_config, &orch);
     }
 
-    // The orchestrated pipeline must be decision-identical to the
-    // reference.
-    assert_eq!(
-        orchestrated_reductions, reductions,
-        "orchestrated and reference reductions disagree"
-    );
-    drop(orchestrated_reductions);
-
-    let m = Meter::start();
-    let study = Study::assemble(&web, engine, reductions);
-    reference_reduction.absorb(m.finish());
-
-    let reference_peak_bytes = reference_crawl
-        .peak_bytes
-        .max(reference_reduction.peak_bytes);
-    let memory = Memory {
-        orchestrated_peak_bytes: orchestrated_pipeline.peak_bytes,
-        reference_peak_bytes,
-        peak_ratio: reference_peak_bytes as f64
-            / (orchestrated_pipeline.peak_bytes as f64).max(1.0),
-    };
-    eprintln!(
-        "[sockscope] memory: reference peak {:.1} MiB vs orchestrated peak {:.1} MiB ({:.1}x)",
-        memory.reference_peak_bytes as f64 / (1024.0 * 1024.0),
-        memory.orchestrated_peak_bytes as f64 / (1024.0 * 1024.0),
-        memory.peak_ratio
-    );
-
     // Matcher race 1: `RegexSet` PII classification vs per-regex reference.
+    // One untimed pass first fills the lazy DFAs, as a crawl's reduction
+    // would have, so the race times the steady state.
+    let lib = PiiLibrary::new();
+    for msg in &corpus.messages {
+        lib.classify_sent_text(msg);
+    }
     let t = Instant::now();
     let mut items_set = 0u64;
     for msg in &corpus.messages {
@@ -522,7 +483,7 @@ fn run() {
             page,
             resource_type: *resource_type,
         };
-        blocked_tokenized += study.engine.evaluate(&ctx).is_blocked() as u64;
+        blocked_tokenized += engine.evaluate(&ctx).is_blocked() as u64;
     }
     let tokenized_s = t.elapsed().as_secs_f64();
     let t = Instant::now();
@@ -533,7 +494,7 @@ fn run() {
             page,
             resource_type: *resource_type,
         };
-        blocked_linear += study.engine.evaluate_reference(&ctx).is_blocked() as u64;
+        blocked_linear += engine.evaluate_reference(&ctx).is_blocked() as u64;
     }
     let linear_s = t.elapsed().as_secs_f64();
     assert_eq!(
@@ -542,7 +503,7 @@ fn run() {
     );
 
     let dfa = lib.cache_stats();
-    let index = study.engine.index_stats();
+    let index = engine.index_stats();
     let arena = sockscope_arena::stats();
     eprintln!(
         "[sockscope] arena: high-water {} B, {} resets, {} spills, {:.1} MiB served",
@@ -555,15 +516,11 @@ fn run() {
         universe: StageReport::from_stats(universe),
         filters: StageReport::from_stats(filters),
         orchestrated_pipeline,
-        reference_crawl,
-        reference_reduction,
     };
     for stage in [
         &mut stages.universe,
         &mut stages.filters,
         &mut stages.orchestrated_pipeline,
-        &mut stages.reference_crawl,
-        &mut stages.reference_reduction,
     ] {
         stage.derive(config.n_sites);
     }
@@ -578,7 +535,6 @@ fn run() {
         threads: config.threads,
         seed_hex: format!("{:#x}", config.seed),
         stages,
-        memory,
         arena: ArenaReport {
             high_water_bytes: arena.high_water_bytes,
             resets: arena.resets,
@@ -666,27 +622,14 @@ fn measure_supervision(
     crawl_config: &sockscope_crawler::CrawlConfig,
     orch: &sockscope_crawler::OrchestratorConfig,
 ) -> Supervision {
-    let era = CrawlEra::ALL[0];
-    let era_web = web.for_era(era);
-    let make_extensions =
-        || sockscope_browser::ExtensionHost::stock(sockscope_crawler::browser_era(&era.into()));
+    let era_web = web.for_era(CrawlEra::ALL[0]);
     let race = |supervised: bool| {
         let orch = sockscope_crawler::OrchestratorConfig {
             supervised,
             ..orch.clone()
         };
         let t = Instant::now();
-        let mut reduction = sockscope_crawler::crawl_orchestrated(
-            &era_web,
-            crawl_config,
-            &orch,
-            &make_extensions,
-            &|| FusedShard::new(era.label(), era.pre_patch(), engine),
-            &|worker: &mut FusedShard<'_>| worker.take_site_reduction(),
-            &|| CrawlReduction::new(era.label(), era.pre_patch()),
-            &|acc: &mut CrawlReduction, site| acc.absorb(site),
-        );
-        reduction.normalize();
+        let reduction = Study::crawl_era(&era_web, engine, crawl_config, &orch);
         (t.elapsed().as_secs_f64(), reduction)
     };
     // Interleaved best-of-N: a single A/B pair at this duration carries
@@ -711,26 +654,12 @@ fn measure_supervision(
 
     // Poisoned probe: same universe, era 1, hazard-only profile. The
     // supervisor must complete the era and account every poisoned site.
-    let probe_era = CrawlEra::ALL[1];
-    let probe_web = web.for_era(probe_era);
+    let probe_web = web.for_era(CrawlEra::ALL[1]);
     let probe_config = sockscope_crawler::CrawlConfig {
         faults: Some(sockscope::faults::FaultProfile::poison()),
         ..crawl_config.clone()
     };
-    let make_probe_extensions = || {
-        sockscope_browser::ExtensionHost::stock(sockscope_crawler::browser_era(&probe_era.into()))
-    };
-    let mut probe = sockscope_crawler::crawl_orchestrated(
-        &probe_web,
-        &probe_config,
-        orch,
-        &make_probe_extensions,
-        &|| FusedShard::new(probe_era.label(), probe_era.pre_patch(), engine),
-        &|worker: &mut FusedShard<'_>| worker.take_site_reduction(),
-        &|| CrawlReduction::new(probe_era.label(), probe_era.pre_patch()),
-        &|acc: &mut CrawlReduction, site| acc.absorb(site),
-    );
-    probe.normalize();
+    let probe = Study::crawl_era(&probe_web, engine, &probe_config, orch);
     let (mut q_panic, mut q_deadline, mut q_budget) = (0u64, 0u64, 0u64);
     if let Some(q) = &probe.quarantine {
         for (reason, n) in q.reason_counts() {
@@ -763,7 +692,7 @@ fn measure_supervision(
 
 /// Carries the headline row of an existing `BENCH_pipeline.json` into a
 /// freshly measured report: the headline runs at a scale (the README
-/// quotes `SOCKSCOPE_SITES=1000000`) nobody re-runs for a schema bump.
+/// quotes `--sites 1000000`) nobody re-runs for a schema bump.
 ///
 /// Fields are read one by one rather than through
 /// `OrchestratorReport::from_value` so the carry survives schema bumps in
@@ -848,7 +777,7 @@ fn carry_longitudinal(report: &mut BenchReport) {
 }
 
 /// Runs the longitudinal lineage row — an N-era synthetic-timeline study
-/// (`SOCKSCOPE_ERAS`, default 50) whose cumulative per-era snapshots are
+/// (`--eras`, default 50) whose cumulative per-era snapshots are
 /// delta-compressed into a lineage — and patches the result into an
 /// existing report at `path`. Kept separate from `run()` (like
 /// `--headline`) because N crawls dwarf the differential scale.
@@ -856,14 +785,13 @@ fn carry_longitudinal(report: &mut BenchReport) {
 /// Snapshots are produced and diffed one era at a time so peak memory
 /// holds two adjacent cumulative snapshots, never the whole lineage
 /// uncompressed.
-fn longitudinal(path: &str) {
+fn longitudinal(path: &str, mut config: StudyConfig) {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         panic!("perf --longitudinal: cannot read {path} (run `perf` first): {e}")
     });
     let mut report: BenchReport = serde_json::from_str(&text)
         .unwrap_or_else(|e| panic!("perf --longitudinal: {path} does not match the schema: {e:?}"));
 
-    let mut config = sockscope_bench::study_config_from_env();
     if config.timeline.is_paper() {
         let n = 50;
         config.timeline =
@@ -935,44 +863,30 @@ fn longitudinal(path: &str) {
 }
 
 /// Runs the large-scale headline row — a single-era orchestrated crawl at
-/// `SOCKSCOPE_SITES` scale (the README quotes `SOCKSCOPE_SITES=1000000`) —
+/// `--sites` scale (the README quotes `perf --headline --sites 1000000`) —
 /// and patches the result into an existing report at `path`. Kept separate
 /// from `run()` because the headline scale is orders of magnitude above
 /// the differential/matcher scale and only exercises the one pipeline
 /// whose memory stays bounded at that size.
-fn headline(path: &str) {
+fn headline(path: &str, config: &StudyConfig) {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("perf --headline: cannot read {path} (run `perf` first): {e}"));
     let mut report: BenchReport = serde_json::from_str(&text)
         .unwrap_or_else(|e| panic!("perf --headline: {path} does not match the schema: {e:?}"));
 
-    let config = sockscope_bench::study_config_from_env();
-    let orch = Study::orchestrator_config(&config);
+    let orch = Study::orchestrator_config(config);
     eprintln!(
         "[sockscope] headline: {} sites x 1 era, {} workers, queue {}, seed {:#x}",
         config.n_sites, orch.workers, orch.queue_depth, config.seed
     );
 
-    let web = Study::universe(&config);
+    let web = Study::universe(config);
     let engine = Study::engine_for(&web);
-    let crawl_config = Study::crawl_config(&config);
-    let era = CrawlEra::ALL[0];
-    let era_web = web.for_era(era);
-    let make_extensions =
-        || sockscope_browser::ExtensionHost::stock(sockscope_crawler::browser_era(&era.into()));
+    let crawl_config = Study::crawl_config(config);
+    let era_web = web.for_era(CrawlEra::ALL[0]);
 
     let m = Meter::start();
-    let mut reduction = sockscope_crawler::crawl_orchestrated(
-        &era_web,
-        &crawl_config,
-        &orch,
-        &make_extensions,
-        &|| FusedShard::new(era.label(), era.pre_patch(), &engine),
-        &|worker: &mut FusedShard<'_>| worker.take_site_reduction(),
-        &|| CrawlReduction::new(era.label(), era.pre_patch()),
-        &|acc: &mut CrawlReduction, site| acc.absorb(site),
-    );
-    reduction.normalize();
+    let reduction = Study::crawl_era(&era_web, &engine, &crawl_config, &orch);
     let stats = m.finish();
     assert_eq!(
         reduction.sites.len(),
@@ -985,7 +899,7 @@ fn headline(path: &str) {
     report.orchestrator.headline_peak_bytes = stats.peak_bytes;
     report.orchestrator.headline_sites_per_s = config.n_sites as f64 / stats.seconds.max(1e-9);
     // Record the workers THIS run used: the headline runs under its own
-    // environment, and the differential row's `workers` must not be
+    // flags, and the differential row's `workers` must not be
     // mistaken for it.
     report.orchestrator.headline_workers = orch.workers;
 
@@ -1008,6 +922,12 @@ fn check(path: &str) {
         .unwrap_or_else(|e| panic!("perf --check: cannot read {path}: {e}"));
     let report: BenchReport = serde_json::from_str(&text)
         .unwrap_or_else(|e| panic!("perf --check: {path} does not match the schema: {e:?}"));
+    validate(&report);
+    println!("perf --check: {path} OK");
+}
+
+/// The numeric half of `--check`: panics on the first violated bound.
+fn validate(report: &BenchReport) {
     assert_eq!(report.schema, SCHEMA, "schema tag mismatch");
     assert!(report.sites > 0, "sites must be positive");
     let stages = [
@@ -1017,8 +937,6 @@ fn check(path: &str) {
             "orchestrated_pipeline",
             &report.stages.orchestrated_pipeline,
         ),
-        ("reference_crawl", &report.stages.reference_crawl),
-        ("reference_reduction", &report.stages.reference_reduction),
     ];
     for (name, s) in stages {
         assert!(
@@ -1043,8 +961,8 @@ fn check(path: &str) {
             s.bytes_allocd_per_site
         );
     }
-    // Allocation-regression gate: the arena work cut the crawl pipeline
-    // to ~27k allocations/site; fail loudly if the count creeps back up.
+    // Allocation-regression gate: fail loudly if the crawl pipeline's
+    // allocations per site creep back up.
     assert!(
         report.stages.orchestrated_pipeline.allocs_per_site <= ORCHESTRATED_ALLOCS_PER_SITE_CEILING,
         "orchestrated_pipeline allocation regression: {:.0} allocs/site exceeds the {} ceiling",
@@ -1061,15 +979,6 @@ fn check(path: &str) {
     assert!(
         report.arena.served_bytes > 0,
         "arena.served_bytes must be nonzero"
-    );
-    assert!(
-        report.memory.orchestrated_peak_bytes > 0 && report.memory.reference_peak_bytes > 0,
-        "memory peaks must be nonzero"
-    );
-    assert!(
-        report.memory.peak_ratio.is_finite() && report.memory.peak_ratio > 0.0,
-        "memory.peak_ratio must be positive, got {}",
-        report.memory.peak_ratio
     );
     assert!(report.throughput.messages_per_s > 0.0);
     assert!(report.throughput.urls_per_s > 0.0);
@@ -1180,5 +1089,48 @@ fn check(path: &str) {
             "longitudinal.diff_seconds must be nonnegative"
         );
     }
-    println!("perf --check: {path} OK");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The committed report, which `--check` must accept as it stands.
+    fn committed() -> BenchReport {
+        serde_json::from_str(include_str!("../../../../BENCH_pipeline.json"))
+            .expect("the committed report matches the schema")
+    }
+
+    /// Sets the orchestrated stage's allocation count, keeping its
+    /// derived per-site column consistent.
+    fn with_orchestrated_allocs(mut report: BenchReport, alloc_count: u64) -> BenchReport {
+        let stage = &mut report.stages.orchestrated_pipeline;
+        stage.alloc_count = alloc_count;
+        stage.derive(report.sites);
+        report
+    }
+
+    fn ceiling_allocs(report: &BenchReport) -> u64 {
+        (ORCHESTRATED_ALLOCS_PER_SITE_CEILING * report.sites as f64) as u64
+    }
+
+    #[test]
+    fn committed_report_passes_check() {
+        validate(&committed());
+    }
+
+    #[test]
+    fn allocations_at_the_ceiling_pass_check() {
+        let report = committed();
+        let at = ceiling_allocs(&report);
+        validate(&with_orchestrated_allocs(report, at));
+    }
+
+    #[test]
+    #[should_panic(expected = "allocation regression")]
+    fn one_allocation_above_the_ceiling_fails_check() {
+        let report = committed();
+        let over = ceiling_allocs(&report) + 1;
+        validate(&with_orchestrated_allocs(report, over));
+    }
 }

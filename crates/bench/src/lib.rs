@@ -1,79 +1,80 @@
-//! Shared plumbing for the benchmark/reproduction harness.
+//! Shared plumbing for the perf harness and the ablations.
 //!
-//! Every `--bin` in this crate regenerates one table or figure of the
-//! paper. Scale knobs come from the environment so the same binaries serve
-//! quick smoke runs and paper-scale reproductions:
-//!
-//! | variable | default | meaning |
-//! |---|---|---|
-//! | `SOCKSCOPE_SITES` | 8000 | publisher universe size (paper: ~100K) |
-//! | `SOCKSCOPE_THREADS` | all cores | crawl parallelism |
-//! | `SOCKSCOPE_SEED` | 0x50C25C0F | universe seed |
-//! | `SOCKSCOPE_WORKERS` | `SOCKSCOPE_THREADS` | orchestrator crawl workers |
-//! | `SOCKSCOPE_QUEUE_DEPTH` | 64 | orchestrator hand-off queue capacity |
-//! | `SOCKSCOPE_ERAS` | unset | N-era synthetic timeline instead of the paper's 4 crawls |
+//! The paper's tables and figures come from the `sockscope` CLI; this
+//! crate holds only what the CLI does not: `perf`, the two ablations and
+//! the criterion benches. Its binaries take `sockscope run`'s study flags
+//! (`--sites`, `--seed`, `--threads`, `--workers`, `--queue-depth`,
+//! `--faults`, `--eras`), parsed by the CLI's own parser, so a bad value is
+//! the same typed error it is there.
 
 #![forbid(unsafe_code)]
 
-use sockscope::{EraTimeline, StudyConfig};
+use sockscope::StudyConfig;
+use sockscope_cli::{Command, ParseError};
 
-/// Reads the scale knobs from the environment.
-pub fn study_config_from_env() -> StudyConfig {
-    let mut config = StudyConfig::default();
-    if let Ok(v) = std::env::var("SOCKSCOPE_SITES") {
-        if let Ok(n) = v.parse() {
-            config.n_sites = n;
-        }
-    } else {
-        config.n_sites = 8_000;
+/// Parses `sockscope run`'s study flags into a study config, with
+/// `default_sites` publisher sites unless `--sites` says otherwise. Flags
+/// that only steer the CLI's outputs (`--save`, `--checkpoint-dir`,
+/// `--resume`, `--max-quarantined`, `--lineage-dir`) are rejected.
+pub fn study_config(args: &[String], default_sites: usize) -> Result<StudyConfig, ParseError> {
+    // A later `--sites` overrides this one, as it does on the CLI.
+    let mut argv = vec![
+        "run".to_string(),
+        "--sites".to_string(),
+        default_sites.to_string(),
+    ];
+    argv.extend_from_slice(args);
+    match sockscope_cli::parse(&argv)? {
+        Command::Run {
+            config,
+            save: None,
+            checkpoint_dir: None,
+            resume: false,
+            max_quarantined: None,
+            lineage_dir: None,
+        } => Ok(config),
+        _ => Err(ParseError(
+            "only the study flags of `sockscope run` apply here".into(),
+        )),
     }
-    if let Ok(v) = std::env::var("SOCKSCOPE_THREADS") {
-        if let Ok(n) = v.parse() {
-            config.threads = n;
-        }
-    }
-    if let Ok(v) = std::env::var("SOCKSCOPE_SEED") {
-        if let Ok(n) = u64::from_str_radix(v.trim_start_matches("0x"), 16) {
-            config.seed = n;
-        }
-    }
-    if let Ok(v) = std::env::var("SOCKSCOPE_WORKERS") {
-        if let Ok(n) = v.parse::<usize>() {
-            config.workers = Some(n.max(1));
-        }
-    }
-    if let Ok(v) = std::env::var("SOCKSCOPE_QUEUE_DEPTH") {
-        if let Ok(n) = v.parse::<usize>() {
-            config.queue_depth = n.max(1);
-        }
-    }
-    // After --seed so the synthetic timeline derives from the final seed,
-    // matching the CLI's `--eras` behaviour.
-    if let Ok(v) = std::env::var("SOCKSCOPE_ERAS") {
-        if let Ok(n) = v.parse::<usize>() {
-            if n > 0 {
-                config.timeline = EraTimeline::synthetic(n, config.seed ^ 0x0E5A_51DE, n / 2);
-            }
-        }
-    }
-    config
 }
 
-/// Runs the study once with an announcement banner.
-pub fn run_study_announced(what: &str) -> sockscope::report::StudyReport {
-    let config = study_config_from_env();
-    eprintln!(
-        "[sockscope] regenerating {what}: {} sites x {} crawls, {} threads, seed {:#x}",
-        config.n_sites,
-        config.timeline.len(),
-        config.threads,
-        config.seed
-    );
-    let t = std::time::Instant::now();
-    let report = sockscope::StudyReport::run(&config);
-    eprintln!(
-        "[sockscope] study completed in {:.1}s",
-        t.elapsed().as_secs_f64()
-    );
-    report
+/// Parses the process arguments with [`study_config`], or exits through
+/// [`usage_error`].
+pub fn study_config_or_exit(args: &[String], default_sites: usize, usage: &str) -> StudyConfig {
+    study_config(args, default_sites).unwrap_or_else(|e| usage_error(e, usage))
+}
+
+/// Prints `msg` and `usage`, then exits 2, as the CLI does on a bad flag.
+pub fn usage_error(msg: impl std::fmt::Display, usage: &str) -> ! {
+    eprintln!("error: {msg}\n\nusage: {usage}");
+    std::process::exit(2);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn study_flags_parse_like_the_cli() {
+        let config = study_config(&[], 3_000).unwrap();
+        assert_eq!(config.n_sites, 3_000);
+        let config = study_config(&args(&["--sites", "40", "--seed", "BEEF"]), 3_000).unwrap();
+        assert_eq!((config.n_sites, config.seed), (40, 0xBEEF));
+        assert_eq!(
+            study_config(&args(&["--sites", "abc"]), 3_000),
+            Err(ParseError("--sites expects an integer".into()))
+        );
+        for bad in [
+            &["--save", "x.json"][..],
+            &["--lineage-dir", "d"],
+            &["--bogus"],
+        ] {
+            assert!(study_config(&args(bad), 3_000).is_err(), "{bad:?}");
+        }
+    }
 }

@@ -440,6 +440,12 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
     }
 }
 
+/// The paper's own top rows, printed under `table 2|3|4` for comparison.
+/// They stay out of `render()`, whose bytes the `run` report pins.
+const PAPER_TABLE2: &str = "(paper's top initiators: facebook 35/11, espncdn 35/0, h-cdn 30/0, doubleclick 29/9, slither 25/0, google 23/11, youtube 18/8, ...)";
+const PAPER_TABLE3: &str = "(paper's top receivers: intercom 156/16, 33across 57/19, zopim 44/12, realtime 41/27, smartsupp 26/4, feedjit 25/10, inspectlet 25/6, pusher 22/8, ...)";
+const PAPER_TABLE4: &str = "(paper's top pairs: webspectator->realtime 1285, google->zopim 172, blogger->feedjit 158, ...; self-pairs total 36,056)";
+
 fn obtain_study(source: &Source) -> Result<Study, CliError> {
     match source {
         Source::Snapshot(path) => StudySnapshot::load(std::path::Path::new(path))
@@ -513,20 +519,22 @@ pub fn execute_with_status(command: Command) -> Result<(String, i32), CliError> 
                 StudyReport::run(&config)
             };
             // Longitudinal products: derived from the finished study so
-            // they compose with plain and checkpointed (resumed) runs.
+            // they compose with plain and checkpointed (resumed) runs. The
+            // lineage costs O(eras²) snapshot bytes, so it is built only
+            // when --lineage-dir asks for it.
             if lineage_dir.is_some() || !config.timeline.is_paper() {
                 let web = Study::universe(&config);
                 report.era_drift = Some(era_deltas(&report.study, &web, &config));
-                let lineage =
-                    SnapshotLineage::build(&era_snapshots(&web, &report.study.reductions));
-                eprintln!(
-                    "[sockscope] snapshot lineage: {} eras, {} delta bytes vs {} full ({:.1}x)",
-                    lineage.era_count(),
-                    lineage.stored_bytes(),
-                    lineage.full_bytes(),
-                    lineage.compression_ratio()
-                );
                 if let Some(dir) = lineage_dir {
+                    let lineage =
+                        SnapshotLineage::build(&era_snapshots(&web, &report.study.reductions));
+                    eprintln!(
+                        "[sockscope] snapshot lineage: {} eras, {} delta bytes vs {} full ({:.1}x)",
+                        lineage.era_count(),
+                        lineage.stored_bytes(),
+                        lineage.full_bytes(),
+                        lineage.compression_ratio()
+                    );
                     lineage
                         .save(std::path::Path::new(&dir))
                         .map_err(|e| CliError::Io(format!("saving lineage to {dir}: {e}")))?;
@@ -564,9 +572,9 @@ pub fn execute_with_status(command: Command) -> Result<(String, i32), CliError> 
                 match (n, csv) {
                     (1, true) => Table1::compute(&study).to_csv(),
                     (1, false) => Table1::compute(&study).render(),
-                    (2, _) => Table2::compute(&study, 15).render(),
-                    (3, _) => Table3::compute(&study, 15).render(),
-                    (4, _) => Table4::compute(&study, 15).render(),
+                    (2, _) => format!("{}\n{PAPER_TABLE2}", Table2::compute(&study, 15).render()),
+                    (3, _) => format!("{}\n{PAPER_TABLE3}", Table3::compute(&study, 15).render()),
+                    (4, _) => format!("{}\n{PAPER_TABLE4}", Table4::compute(&study, 15).render()),
                     (_, true) => Table5::compute(&study).to_csv(),
                     (_, false) => Table5::compute(&study).render(),
                 },
@@ -949,6 +957,22 @@ mod tests {
     }
 
     #[test]
+    fn evolving_run_without_lineage_dir_still_reports_era_drift() {
+        let cmd = parse(&args(&[
+            "run",
+            "--sites",
+            "40",
+            "--threads",
+            "2",
+            "--eras",
+            "3",
+        ]))
+        .unwrap();
+        let out = execute(cmd).unwrap();
+        assert!(out.contains("Era drift (longitudinal run)"));
+    }
+
+    #[test]
     fn rejects_unknown() {
         assert!(parse(&args(&["frobnicate"])).is_err());
         assert!(parse(&args(&["run", "--bogus", "1"])).is_err());
@@ -1018,6 +1042,9 @@ mod tests {
         assert!(table.contains("Table 1"));
         let csv = execute(Command::Table(1, Source::Snapshot(snap_str.clone()), true)).unwrap();
         assert!(csv.starts_with("crawl,pct_sites_ws"));
+        let table2 = execute(Command::Table(2, Source::Snapshot(snap_str.clone()), false)).unwrap();
+        assert!(table2.contains("Table 2"));
+        assert!(table2.ends_with(PAPER_TABLE2));
         let stats = execute(Command::TextStats(Source::Snapshot(snap_str))).unwrap();
         assert!(stats.contains("cross-origin"));
         std::fs::remove_file(&snap).ok();
