@@ -127,10 +127,10 @@ const SENT_SPECS: &[(SentItem, &str, bool)] = &[
 
 /// The compiled pattern library.
 pub struct PiiLibrary {
-    /// Every sent-item pattern (in [`SENT_SPECS`] order): each pattern is
-    /// gated by its own literal prefilter and runs on its own lazy DFA,
-    /// so a message costs substring scans plus the few patterns that
-    /// survive them.
+    /// Every sent-item pattern (in [`SENT_SPECS`] order): one scan for
+    /// all their required literals gates them, and each pattern left in
+    /// play runs on its own lazy DFA, so a message costs one literal scan
+    /// plus the few patterns that survive it.
     sent_set: RegexSet,
     /// The same patterns compiled individually — the pre-overhaul shape,
     /// kept as the reference path for differential tests and benches.

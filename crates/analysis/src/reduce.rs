@@ -21,7 +21,7 @@
 use crate::pii::{PiiLibrary, ReceivedClass};
 use serde::{de, Deserialize, Serialize, Value};
 use sockscope_crawler::{SiteFaults, SiteRecord};
-use sockscope_filterlist::{Engine, RequestContext, ResourceType};
+use sockscope_filterlist::{Engine, PageFacts, ResourceType};
 use sockscope_inclusion::{InclusionTree, Node, NodeKind};
 use sockscope_webmodel::SentItem;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -462,6 +462,8 @@ impl CrawlReduction {
     ) -> usize {
         // Every URL below is the tree builder's one parse of it.
         let page = tree.url(tree.root().id);
+        // What rule options ask of the page, derived once for its requests.
+        let page_facts = page.map(PageFacts::new);
         let mut sockets = 0usize;
 
         // Precompute per-node "would the lists block this node itself".
@@ -474,14 +476,10 @@ impl CrawlReduction {
                 NodeKind::Xhr => ResourceType::Xhr,
                 _ => continue,
             };
-            let (Some(page), Some(url)) = (page, tree.url(node.id)) else {
+            let (Some(page), Some(url)) = (&page_facts, tree.url(node.id)) else {
                 continue;
             };
-            node_blocked[i] = engine.blocks(&RequestContext {
-                url,
-                page,
-                resource_type: rtype,
-            });
+            node_blocked[i] = engine.evaluate_on(page, url, rtype).is_blocked();
         }
         // Chain blocking: a node's chain is blocked if itself or any
         // ancestor is.

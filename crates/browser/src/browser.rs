@@ -302,6 +302,14 @@ fn fnv1a(s: &str) -> u64 {
     h
 }
 
+/// `v` as sixteen lower-case hex digits (`{:016x}`), written into `buf`.
+fn hex16(v: u64, buf: &mut [u8; 16]) -> &str {
+    for (i, digit) in buf.iter_mut().enumerate() {
+        *digit = b"0123456789abcdef"[(v >> (60 - 4 * i)) as usize & 0xf];
+    }
+    std::str::from_utf8(buf).expect("hex digits are ASCII")
+}
+
 struct VisitState<'b, 'h, 's, 'ar> {
     browser: &'b Browser<'h>,
     page_url: Url,
@@ -457,10 +465,11 @@ impl<'ar> VisitState<'_, '_, '_, 'ar> {
                 // Third parties set cookies when their script is fetched —
                 // this is what later makes WS handshakes to them stateful.
                 let host = url.host_str();
+                let mut uid = [0u8; 16];
                 self.jar.set(
                     host,
                     "uid",
-                    format!("{:016x}", fnv1a(host) ^ self.browser.config.seed),
+                    hex16(fnv1a(host) ^ self.browser.config.seed, &mut uid),
                 );
                 let sid = self.next_script_id();
                 self.sink.on_event(CdpEvent::ScriptParsed {
@@ -869,6 +878,21 @@ mod tests {
     use sockscope_webmodel::{
         host::StaticHost, ReceivedItem, ScriptBehavior, WsExchange, WsServerProfile,
     };
+
+    #[test]
+    fn hex16_is_the_padded_lower_hex_rendering() {
+        let mut buf = [0u8; 16];
+        for v in [
+            0,
+            1,
+            0xabc,
+            0x0123_4567_89ab_cdef,
+            u64::MAX,
+            fnv1a("x.example"),
+        ] {
+            assert_eq!(hex16(v, &mut buf), format!("{v:016x}"));
+        }
+    }
 
     /// Builds the Figure 2 web: pub page includes pub/ads/tracker scripts;
     /// the ads script includes a second ads script and an image; the second

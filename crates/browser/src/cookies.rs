@@ -6,6 +6,7 @@
 //! (Table 5: 69.9% of sockets vs 22.8% of HTTP/S requests).
 
 use sockscope_urlkit::second_level_domain;
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// A cookie jar keyed by second-level domain (the granularity the study's
@@ -21,22 +22,30 @@ impl CookieJar {
         CookieJar::default()
     }
 
-    /// Sets a cookie for the given host's second-level domain.
-    pub fn set(&mut self, host: &str, name: impl Into<String>, value: impl Into<String>) {
-        let domain = second_level_domain(&host.to_ascii_lowercase()).to_string();
-        let name = name.into();
-        let list = self.by_domain.entry(domain).or_default();
-        if let Some(slot) = list.iter_mut().find(|(n, _)| *n == name) {
-            slot.1 = value.into();
-        } else {
-            list.push((name, value.into()));
+    /// Sets a cookie for the given host's second-level domain. Setting a
+    /// cookie the jar already holds, with the same value, allocates
+    /// nothing.
+    pub fn set(&mut self, host: &str, name: &str, value: &str) {
+        let host = lowercase(host);
+        let domain = second_level_domain(&host);
+        let list = match self.by_domain.get_mut(domain) {
+            Some(list) => list,
+            None => self.by_domain.entry(domain.to_string()).or_default(),
+        };
+        match list.iter_mut().find(|(n, _)| n == name) {
+            Some((_, old)) if old != value => {
+                old.clear();
+                old.push_str(value);
+            }
+            Some(_) => {}
+            None => list.push((name.to_string(), value.to_string())),
         }
     }
 
     /// Renders the `Cookie:` header value for a request to `host`, or `None`
     /// if no cookies match.
     pub fn header_for(&self, host: &str) -> Option<String> {
-        let host = host.to_ascii_lowercase();
+        let host = lowercase(host);
         let domain = second_level_domain(&host);
         let list = self.by_domain.get(domain)?;
         if list.is_empty() {
@@ -53,6 +62,16 @@ impl CookieJar {
     /// Number of domains with cookies.
     pub fn domain_count(&self) -> usize {
         self.by_domain.len()
+    }
+}
+
+/// `host` in lower case; hosts parsed by `Url` already are, and are
+/// borrowed as they are.
+fn lowercase(host: &str) -> Cow<'_, str> {
+    if host.bytes().any(|b| b.is_ascii_uppercase()) {
+        host.to_ascii_lowercase().into()
+    } else {
+        host.into()
     }
 }
 
@@ -78,6 +97,15 @@ mod tests {
         jar.set("a.example", "uid", "1");
         jar.set("a.example", "uid", "2");
         assert_eq!(jar.header_for("a.example").unwrap(), "uid=2");
+        assert_eq!(jar.domain_count(), 1);
+    }
+
+    #[test]
+    fn host_case_is_folded() {
+        let mut jar = CookieJar::new();
+        jar.set("X.Tracker.Example", "uid", "1");
+        jar.set("y.tracker.example", "uid", "1");
+        assert_eq!(jar.header_for("Z.TRACKER.example").unwrap(), "uid=1");
         assert_eq!(jar.domain_count(), 1);
     }
 }

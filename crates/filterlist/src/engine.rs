@@ -1,9 +1,10 @@
 //! The filter-matching engine.
 
 use crate::rule::{Anchor, ParsedLine, ResourceType, Rule, RuleError};
+use sockscope_redlite::LiteralSet;
 use sockscope_urlkit::psl::shared_registrable_domain;
 use sockscope_urlkit::Url;
-use std::cell::Cell;
+use std::cell::{Cell, OnceCell};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -23,6 +24,31 @@ impl RequestContext<'_> {
     /// Third-party = the resource and page second-level domains differ.
     pub fn is_third_party(&self) -> bool {
         sockscope_urlkit::origin::is_third_party(self.page, self.url)
+    }
+}
+
+/// The page (first party) a page's requests are evaluated on, with what
+/// rule options ask of it derived at most once for all of them: its
+/// registrable domain is computed on first use and then shared by every
+/// request [`Engine::evaluate_on`] decides with these facts.
+#[derive(Debug, Clone)]
+pub struct PageFacts<'a> {
+    page: &'a Url,
+    sld: OnceCell<Option<&'a str>>,
+}
+
+impl<'a> PageFacts<'a> {
+    /// Facts about `page`; nothing is derived until a rule asks.
+    pub fn new(page: &'a Url) -> PageFacts<'a> {
+        PageFacts {
+            page,
+            sld: OnceCell::new(),
+        }
+    }
+
+    /// The page's registrable domain; `None` for an IPv4 page.
+    fn sld(&self) -> Option<&'a str> {
+        *self.sld.get_or_init(|| self.page.second_level_domain())
     }
 }
 
@@ -59,7 +85,14 @@ pub struct Engine {
     /// that token as a maximal `[a-z0-9]` run. See [`choose_token`]. The
     /// keys already are FNV-1a hashes, so the map does not hash them again.
     token_index: HashMap<u64, Vec<usize>, BuildHasherDefault<IdentityHasher>>,
-    /// Generic rules with no usable token; scanned for every request.
+    /// Generic rules with no usable token but with a literal (their
+    /// longest `^`-free run): `(bit in untokenized_literals, rule)`. Such a
+    /// rule is a candidate only for URLs whose text contains its literal.
+    untokenized_gated: Vec<(u32, usize)>,
+    /// The literals of `untokenized_gated`, found in one scan per request.
+    untokenized_literals: LiteralSet,
+    /// Generic rules with neither a token nor a literal that fit the
+    /// literal set; scanned for every request.
     untokenized: Vec<usize>,
 }
 
@@ -72,7 +105,8 @@ pub struct IndexStats {
     pub domain_indexed: usize,
     /// Generic rules reachable through the token index.
     pub tokenized: usize,
-    /// Generic rules with no usable token (scanned every request).
+    /// Generic rules with no usable token (literal-gated, or scanned every
+    /// request).
     pub untokenized: usize,
 }
 
@@ -127,7 +161,12 @@ impl Engine {
                 .entry(fnv1a(token.as_bytes()))
                 .or_default()
                 .push(idx),
-            None => self.untokenized.push(idx),
+            None => match longest_literal(&rule)
+                .and_then(|lit| self.untokenized_literals.insert(lit, false))
+            {
+                Some(bit) => self.untokenized_gated.push((bit, idx)),
+                None => self.untokenized.push(idx),
+            },
         }
         self.rules.push(rule);
         self.generic.push(idx);
@@ -139,7 +178,7 @@ impl Engine {
             rules: self.rules.len(),
             domain_indexed: self.domain_index.values().map(Vec::len).sum(),
             tokenized: self.token_index.values().map(Vec::len).sum(),
-            untokenized: self.untokenized.len(),
+            untokenized: self.untokenized_gated.len() + self.untokenized.len(),
         }
     }
 
@@ -159,24 +198,39 @@ impl Engine {
     }
 
     /// Evaluates a request: exceptions beat blocks (ABP semantics).
+    /// [`Engine::evaluate_on`] with facts about this one request's page.
+    pub fn evaluate(&self, ctx: &RequestContext<'_>) -> Decision {
+        self.evaluate_on(&PageFacts::new(ctx.page), ctx.url, ctx.resource_type)
+    }
+
+    /// Evaluates a request for `url` on the page `page` describes; a
+    /// caller deciding many requests of one page builds its
+    /// [`PageFacts`] once.
     ///
     /// Hot path: generic rules are narrowed through the token index — only
     /// rules whose indexed token occurs in the URL are tried, plus the
-    /// untokenizable remainder. Candidate order reproduces the reference
-    /// scan (domain hits, then generic in rule order), and the index is
-    /// sound (a matching rule's token always occurs in the URL), so the
-    /// decision — including the winning rule index — is identical to
-    /// [`Engine::evaluate_reference`] on every request. The URL text and
-    /// candidate buffers are per-thread and reused, so a decision
-    /// allocates nothing once they have grown.
-    pub fn evaluate(&self, ctx: &RequestContext<'_>) -> Decision {
+    /// untokenizable remainder whose literal occurs in it (one
+    /// [`LiteralSet`] scan), plus the few with no literal at all.
+    /// Candidate order reproduces the reference scan (domain hits, then
+    /// generic in rule order), and both narrowings are sound (a matching
+    /// rule's token, and every `^`-free run of its pattern, occur in the
+    /// URL text), so the decision — including the winning rule index — is
+    /// identical to [`Engine::evaluate_reference`] on every request. The
+    /// URL text and candidate buffers are per-thread and reused, so a
+    /// decision allocates nothing once they have grown.
+    pub fn evaluate_on(
+        &self,
+        page: &PageFacts<'_>,
+        url: &Url,
+        resource_type: ResourceType,
+    ) -> Decision {
         let mut scratch = SCRATCH.with(Cell::take).unwrap_or_default();
         let Scratch {
             url_text,
             candidates,
         } = &mut scratch;
-        write_url_text(ctx.url, url_text);
-        let mut facts = Facts::new(ctx);
+        write_url_text(url, url_text);
+        let mut facts = Facts::new(page, url, resource_type);
         candidates.clear();
         candidates.extend_from_slice(self.domain_candidates(facts.url_sld));
         let domain_hits = candidates.len();
@@ -185,6 +239,13 @@ impl Engine {
                 candidates.extend_from_slice(v);
             }
         });
+        let present = self.untokenized_literals.matches(url_text);
+        candidates.extend(
+            self.untokenized_gated
+                .iter()
+                .filter(|&&(bit, _)| present & (1 << bit) != 0)
+                .map(|&(_, rule)| rule),
+        );
         candidates.extend_from_slice(&self.untokenized);
         // Restore rule order among the generic candidates so "first match
         // wins" picks the same rule the linear scan would; a token that
@@ -203,7 +264,8 @@ impl Engine {
     pub fn evaluate_reference(&self, ctx: &RequestContext<'_>) -> Decision {
         let mut url_text = String::new();
         write_url_text(ctx.url, &mut url_text);
-        let mut facts = Facts::new(ctx);
+        let page = PageFacts::new(ctx.page);
+        let mut facts = Facts::new(&page, ctx.url, ctx.resource_type);
         let mut candidates = self.domain_candidates(facts.url_sld).to_vec();
         candidates.extend_from_slice(&self.generic);
         self.decide(&mut facts, &url_text, &candidates)
@@ -219,14 +281,14 @@ impl Engine {
 
     /// Runs the full matcher over `candidates` in order: the first
     /// matching exception wins outright, else the first matching block.
-    fn decide(&self, facts: &mut Facts<'_>, url_text: &str, candidates: &[usize]) -> Decision {
+    fn decide(&self, facts: &mut Facts<'_, '_>, url_text: &str, candidates: &[usize]) -> Decision {
         let mut block: Option<usize> = None;
         for &i in candidates {
             let rule = &self.rules[i];
             if !rule_applies(rule, facts) {
                 continue;
             }
-            if pattern_matches(rule, url_text, facts.ctx.url) {
+            if pattern_matches(rule, url_text, facts.url) {
                 if rule.exception {
                     return Decision::Allow(i);
                 }
@@ -260,31 +322,25 @@ thread_local! {
 
 /// The facts about one request that rule options ask for, each derived
 /// at most once per decision: the request's registrable domain up front
-/// (the domain index needs it), the page's and the third-party status on
-/// first use.
-struct Facts<'a> {
-    ctx: &'a RequestContext<'a>,
-    url_sld: Option<&'a str>,
-    page_sld: Option<Option<&'a str>>,
+/// (the domain index needs it), the third-party status on first use, and
+/// the page's from the [`PageFacts`] shared by the page's requests.
+struct Facts<'f, 'p> {
+    page: &'f PageFacts<'p>,
+    url: &'f Url,
+    resource_type: ResourceType,
+    url_sld: Option<&'f str>,
     third_party: Option<bool>,
 }
 
-impl<'a> Facts<'a> {
-    fn new(ctx: &'a RequestContext<'a>) -> Facts<'a> {
+impl<'f, 'p> Facts<'f, 'p> {
+    fn new(page: &'f PageFacts<'p>, url: &'f Url, resource_type: ResourceType) -> Facts<'f, 'p> {
         Facts {
-            ctx,
-            url_sld: ctx.url.second_level_domain(),
-            page_sld: None,
+            page,
+            url,
+            resource_type,
+            url_sld: url.second_level_domain(),
             third_party: None,
         }
-    }
-
-    /// The page's registrable domain; `None` for an IPv4 page.
-    fn page_sld(&mut self) -> Option<&'a str> {
-        let ctx = self.ctx;
-        *self
-            .page_sld
-            .get_or_insert_with(|| ctx.page.second_level_domain())
     }
 
     /// [`RequestContext::is_third_party`] from the derived domains.
@@ -292,9 +348,9 @@ impl<'a> Facts<'a> {
         if let Some(known) = self.third_party {
             return known;
         }
-        let third_party = match (self.page_sld(), self.url_sld) {
+        let third_party = match (self.page.sld(), self.url_sld) {
             (Some(page), Some(url)) => page != url,
-            _ => self.ctx.page.host() != self.ctx.url.host(),
+            _ => self.page.page.host() != self.url.host(),
         };
         *self.third_party.insert(third_party)
     }
@@ -444,10 +500,21 @@ fn choose_token(rule: &Rule) -> Option<&str> {
     best.or(best_stop)
 }
 
+/// The longest `^`-free run of the rule's parts, if it has one. A URL
+/// text the rule matches contains every such run verbatim: a part's
+/// non-`^` characters match byte for byte.
+fn longest_literal(rule: &Rule) -> Option<&str> {
+    rule.parts
+        .iter()
+        .flat_map(|part| part.split('^'))
+        .filter(|lit| !lit.is_empty())
+        .max_by_key(|lit| lit.len())
+}
+
 /// Checks the rule's option constraints against the request.
-fn rule_applies(rule: &Rule, facts: &mut Facts<'_>) -> bool {
+fn rule_applies(rule: &Rule, facts: &mut Facts<'_, '_>) -> bool {
     if let Some(types) = &rule.types {
-        if !types.contains(&facts.ctx.resource_type) {
+        if !types.contains(&facts.resource_type) {
             return false;
         }
     }
@@ -457,8 +524,8 @@ fn rule_applies(rule: &Rule, facts: &mut Facts<'_>) -> bool {
         }
     }
     if !rule.include_domains.is_empty() || !rule.exclude_domains.is_empty() {
-        let page_sld = facts.page_sld().unwrap_or_default();
-        let page_host = facts.ctx.page.host_str();
+        let page_sld = facts.page.sld().unwrap_or_default();
+        let page_host = facts.page.page.host_str();
         let hits = |d: &String| {
             *d == page_sld
                 || *d == page_host
@@ -761,8 +828,9 @@ mod tests {
         for page in &urls {
             for u in &urls {
                 let c = ctx(u, page, ResourceType::Script);
+                let facts = PageFacts::new(page);
                 assert_eq!(
-                    Facts::new(&c).third_party(),
+                    Facts::new(&facts, u, c.resource_type).third_party(),
                     c.is_third_party(),
                     "{u} on {page}"
                 );
@@ -915,6 +983,51 @@ $websocket,domain=pub.example
         let stats = e.index_stats();
         assert_eq!(stats.tokenized, 0, "{stats:?}");
         assert_eq!(stats.untokenized, 1, "{stats:?}");
+    }
+
+    #[test]
+    fn untokenized_rules_are_gated_by_their_literal() {
+        let e = engine("*adximg_tail\n*pop^feed\n$websocket,domain=pub.example\n*^");
+        assert_eq!(e.untokenized_gated.len(), 2);
+        assert_eq!(e.untokenized.len(), 2);
+        let page = url("http://pub.example/");
+        for (u, want) in [
+            ("http://x.example/a/adximg_tail", Decision::Block(0)),
+            ("http://x.example/a/adximg_tai", Decision::Block(3)),
+            ("http://x.example/pop/feed", Decision::Block(1)),
+            ("http://x.example/popfeed", Decision::Block(3)),
+        ] {
+            let u = url(u);
+            let c = ctx(&u, &page, ResourceType::Image);
+            assert_eq!(e.evaluate(&c), want, "{u}");
+            assert_eq!(e.evaluate_reference(&c), want, "{u}");
+        }
+    }
+
+    #[test]
+    fn page_facts_are_shared_across_requests() {
+        let e = engine("||cdn.example^$third-party\n/ads/$domain=pub.example");
+        for page in [
+            "http://www.pub.example/",
+            "http://cdn.example/",
+            "http://10.0.0.1/",
+        ] {
+            let page = url(page);
+            let facts = PageFacts::new(&page);
+            for u in [
+                "http://cdn.example/x.js",
+                "http://pub.example/ads/a.js",
+                "http://10.0.0.1/ads/",
+            ] {
+                let u = url(u);
+                let c = ctx(&u, &page, ResourceType::Script);
+                assert_eq!(
+                    e.evaluate_on(&facts, &u, c.resource_type),
+                    e.evaluate(&c),
+                    "{u} on {page}"
+                );
+            }
+        }
     }
 
     /// Asserts the rule blocks `u` through both evaluators.

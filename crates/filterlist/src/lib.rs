@@ -39,6 +39,6 @@ pub mod labeler;
 pub mod lists;
 pub mod rule;
 
-pub use engine::{Decision, Engine, RequestContext};
+pub use engine::{Decision, Engine, PageFacts, RequestContext};
 pub use labeler::{AaDomainSet, Labeler};
 pub use rule::{ParsedLine, ResourceType, Rule, RuleError};

@@ -42,9 +42,11 @@ pub struct DfaStats {
     pub trans_computed: u64,
     /// Transitions served from the dense cache.
     pub trans_cached: u64,
-    /// Completed DFA scans.
+    /// DFA scans started (a prefilter reject starts none).
     pub scans: u64,
-    /// Scans refused (cache poisoned) and answered by the Pike VM.
+    /// Checks answered by the Pike VM instead: the scan that overflowed
+    /// the state cache (counted in `scans` too), then every later check,
+    /// which the poisoned cache refuses.
     pub fallbacks: u64,
 }
 
@@ -339,12 +341,6 @@ impl LazyDfa {
 
     pub fn stats(&self) -> DfaStats {
         self.stats
-    }
-
-    /// Used by `is_match` callers that want the prefilter decision to show
-    /// up in the stats even when the DFA itself never ran.
-    pub fn note_prefilter_reject(&mut self) {
-        self.stats.scans += 1;
     }
 }
 

@@ -18,9 +18,10 @@
 //! * **A lazy DFA** — existence checks run on cached byte-class
 //!   transitions; the bounded state cache falls back to the Pike VM when
 //!   it overflows (see [`DfaStats`]).
-//! * **[`RegexSet`]** — reports the full set of matching patterns, each
-//!   pattern gated by its own prefilter and run on its own lazy DFA;
-//!   this is how the PII library classifies each message.
+//! * **[`RegexSet`]** — reports the full set of matching patterns: one
+//!   [`LiteralSet`] scan over the haystack gates every pattern on its
+//!   required literals, and each pattern left in play runs on its own
+//!   lazy DFA; this is how the PII library classifies each message.
 //!
 //! The reference engine stays reachable via [`Regex::pikevm_is_match`] /
 //! [`Regex::pikevm_find`]; the differential fuzz target in the workspace
@@ -52,7 +53,7 @@ mod vm;
 
 pub use ast::Error;
 pub use dfa::DfaStats;
-pub use literal::{find_lit, find_lit_scalar};
+pub use literal::{find_lit, find_lit_scalar, LiteralSet};
 pub use set::{RegexSet, SetMatches};
 
 use std::sync::Mutex;
@@ -135,11 +136,15 @@ impl Regex {
     /// [`Regex::pikevm_is_match`] on every input.
     pub fn is_match(&self, haystack: &str) -> bool {
         if !self.prefilter.admits(haystack, 0) {
-            if let Ok(mut d) = self.dfa.try_lock() {
-                d.note_prefilter_reject();
-            }
             return false;
         }
+        self.is_match_admitted(haystack)
+    }
+
+    /// [`Regex::is_match`] once the required-literal prefilter has
+    /// admitted `haystack` (a [`RegexSet`] asks its [`LiteralSet`]
+    /// instead). Also correct on a haystack it would have rejected.
+    fn is_match_admitted(&self, haystack: &str) -> bool {
         let start = match self.prefilter.earliest_start(haystack, 0) {
             Some(s) => s,
             None => return false,
@@ -427,6 +432,41 @@ mod tests {
         assert!(stats.scans >= 2, "{stats:?}");
         assert!(stats.states >= 2, "{stats:?}");
         assert!(stats.trans_cached > 0, "{stats:?}");
+    }
+
+    #[test]
+    fn prefilter_rejects_are_not_dfa_scans() {
+        let re = Regex::new("needle[0-9]+").unwrap();
+        assert!(!re.is_match("haystack"));
+        assert!(!re.is_match("more hay"));
+        assert_eq!(re.cache_stats().scans, 0);
+        assert!(re.is_match("a needle7"));
+        assert_eq!(re.cache_stats().scans, 1);
+    }
+
+    #[test]
+    fn the_overflowing_scan_counts_as_scan_and_fallback() {
+        // `[ab]*a[ab]{10}c` needs 2^11 DFA states on `a`/`b` text, past
+        // the cache's cap, and the text never lets it stop early.
+        let re = Regex::new("[ab]*a[ab]{10}c").unwrap();
+        let mut x = 0x9e37_79b9_u32;
+        let hay: String = (0..3000)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                if x & 1 == 0 {
+                    'a'
+                } else {
+                    'b'
+                }
+            })
+            .collect();
+        for (checks, want) in [(1, (1, 1)), (2, (1, 2))] {
+            assert_eq!(re.is_match(&hay), re.pikevm_is_match(&hay));
+            let stats = re.cache_stats();
+            assert_eq!((stats.scans, stats.fallbacks), want, "after {checks}");
+        }
     }
 
     #[test]

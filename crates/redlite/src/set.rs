@@ -1,22 +1,26 @@
 //! `RegexSet`-style multi-pattern matching.
 //!
 //! The PII classifier asks the same question of every message: *which* of
-//! N patterns match? Each pattern is a full [`Regex`], so a set query is
-//! N existence checks, each on that pattern's own fast path:
+//! N patterns match? A set query is one literal scan, then an existence
+//! check for each pattern that scan leaves in play:
 //!
-//! * **Prefilter gating** — a pattern whose required literals are absent
-//!   from the haystack is rejected by substring scans alone. On typical
-//!   telemetry messages and URLs this leaves zero to two live patterns
-//!   per query.
-//! * **Per-pattern lazy DFA** — a gated-in pattern runs on its own cached
-//!   DFA, whose transitions are warm after the first few messages, and
-//!   which skips ahead to the pattern's prefix literal whenever no thread
-//!   is in flight. Small per-pattern DFAs stay far below the state cap
-//!   that a combined automaton over all patterns would strain.
+//! * **One shared prefilter** — every pattern's required literals go
+//!   into one [`LiteralSet`], which reports in a single pass over the
+//!   haystack which of them occur. A pattern none of whose required
+//!   literals occurs cannot match and is rejected without touching its
+//!   DFA (or its lock). A pattern with no required literal, or with one
+//!   that did not fit in the set's 64 bits, is always left in play and
+//!   checks its own prefilter. On typical telemetry messages and URLs
+//!   this leaves zero to two live patterns per query.
+//! * **Per-pattern lazy DFA** — a pattern left in play runs on its own
+//!   cached DFA, whose transitions are warm after the first few messages,
+//!   and which skips ahead to the pattern's prefix literal whenever no
+//!   thread is in flight. Small per-pattern DFAs stay far below the state
+//!   cap that a combined automaton over all patterns would strain.
 //!
 //! The set answers existence per pattern (no spans) as one `u64` bitmask.
 
-use crate::{DfaStats, Error, Regex};
+use crate::{DfaStats, Error, LiteralSet, Regex};
 
 /// Hard cap so membership fits in a single `u64` bitmask.
 const MAX_PATTERNS: usize = 64;
@@ -25,6 +29,13 @@ const MAX_PATTERNS: usize = 64;
 #[derive(Debug, Clone)]
 pub struct RegexSet {
     regexes: Vec<Regex>,
+    /// The required literals of every gated pattern.
+    literals: LiteralSet,
+    /// Per pattern, the bits of its required literals in `literals`; 0
+    /// for a pattern the literal scan does not gate (no required literal,
+    /// or one past the set's capacity), which runs [`Regex::is_match`]
+    /// whole.
+    gates: Vec<u64>,
 }
 
 /// Which patterns of a [`RegexSet`] matched one haystack.
@@ -72,14 +83,30 @@ impl RegexSet {
     where
         I: IntoIterator<Item = (String, bool)>,
     {
-        let mut regexes = Vec::new();
+        let mut set = RegexSet {
+            regexes: Vec::new(),
+            literals: LiteralSet::new(),
+            gates: Vec::new(),
+        };
         for (pattern, ci) in specs {
-            if regexes.len() >= MAX_PATTERNS {
+            if set.regexes.len() >= MAX_PATTERNS {
                 return Err(Error::SetTooLarge);
             }
-            regexes.push(Regex::compile(&pattern, ci)?);
+            let re = Regex::compile(&pattern, ci)?;
+            let mut gate = 0u64;
+            for lit in re.prefilter.required.iter().flatten() {
+                match set.literals.insert(lit, re.prefilter.ci) {
+                    Some(bit) => gate |= 1 << bit,
+                    None => {
+                        gate = 0;
+                        break;
+                    }
+                }
+            }
+            set.gates.push(gate);
+            set.regexes.push(re);
         }
-        Ok(RegexSet { regexes })
+        Ok(set)
     }
 
     /// Number of patterns in the set.
@@ -92,17 +119,23 @@ impl RegexSet {
         self.regexes.is_empty()
     }
 
-    /// Membership test: which patterns match `haystack`. Each pattern runs
-    /// [`Regex::is_match`] (prefilter, then its lazy DFA).
+    /// Membership test: which patterns match `haystack`. One scan of the
+    /// shared [`LiteralSet`] decides which gated patterns stay in play;
+    /// those run their lazy DFA directly, the ungated ones
+    /// [`Regex::is_match`] whole.
     pub fn matches(&self, haystack: &str) -> SetMatches {
-        self.mask_by(|re| re.is_match(haystack))
+        let present = self.literals.matches(haystack);
+        self.mask_by(|i, re| match self.gates[i] {
+            0 => re.is_match(haystack),
+            gate => gate & present != 0 && re.is_match_admitted(haystack),
+        })
     }
 
     /// Reference path: N independent Pike-VM scans, no prefilter or DFA.
     /// Exists so tests and benches can compare the fast path against the
     /// naive shape.
     pub fn matches_reference(&self, haystack: &str) -> SetMatches {
-        self.mask_by(|re| re.pikevm_is_match(haystack))
+        self.mask_by(|_, re| re.pikevm_is_match(haystack))
     }
 
     /// Lazy-DFA cache counters summed over every pattern.
@@ -114,10 +147,10 @@ impl RegexSet {
         stats
     }
 
-    fn mask_by(&self, mut hit: impl FnMut(&Regex) -> bool) -> SetMatches {
+    fn mask_by(&self, mut hit: impl FnMut(usize, &Regex) -> bool) -> SetMatches {
         let mut mask = 0u64;
         for (i, re) in self.regexes.iter().enumerate() {
-            if hit(re) {
+            if hit(i, re) {
                 mask |= 1u64 << i;
             }
         }
@@ -177,6 +210,33 @@ mod tests {
         let m = s.matches("42");
         assert!(m.contains(0));
         assert!(!m.contains(1));
+    }
+
+    #[test]
+    fn literals_past_the_sixty_fourth_admit_their_pattern() {
+        // Five 16-branch alternations need 80 literals; the last patterns
+        // are left ungated and still answer through their own prefilter.
+        let pats: Vec<String> = (0..5)
+            .map(|p| {
+                let branches: Vec<String> = (0..16).map(|b| format!("p{p}b{b}x")).collect();
+                format!("({})=", branches.join("|"))
+            })
+            .collect();
+        let s = set(&pats.iter().map(String::as_str).collect::<Vec<_>>());
+        assert!(s.gates.contains(&0));
+        for hay in ["", "p0b0x=", "p4b15x=", "p4b15x", "p3b9x=&p1b2x="] {
+            assert_eq!(s.matches(hay), s.matches_reference(hay), "hay = {hay:?}");
+        }
+        assert!(s.matches("p4b15x=").contains(4));
+    }
+
+    #[test]
+    fn literal_rejects_take_no_dfa_scan() {
+        let s = set(&["cookie=", "uid=\\d+"]);
+        assert!(!s.matches("nothing here").any());
+        assert_eq!(s.cache_stats().scans, 0);
+        assert!(s.matches("uid=7").contains(1));
+        assert_eq!(s.cache_stats().scans, 1);
     }
 
     #[test]

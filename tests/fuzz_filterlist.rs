@@ -3,13 +3,18 @@
 //!
 //! `Engine::evaluate` narrows candidates through the domain and token
 //! indexes and finds literal rule parts by substring search; both must be
-//! *decision-invisible*. Two targets:
+//! *decision-invisible*. Four targets:
 //!
 //! * random rule lists (`||`, `|`, `*`, `^`, trailing `|`, `$third-party`,
 //!   `$domain=a|~b`, type options, `@@`, non-ASCII text, IPv4 and
 //!   public-suffix hosts) against random request and page URLs:
 //!   `evaluate` must equal the linear `evaluate_reference`, winning rule
 //!   index included;
+//! * the same race on lists rich in rules with no usable token (leading
+//!   `*`, runs next to `*`, parts that are only `^`), which the engine
+//!   gates by their longest `^`-free literal;
+//! * one page's `PageFacts` shared across many requests must decide each
+//!   request as `evaluate` does, on IPv4, same-site and other pages;
 //! * random parts and texts: the production `engine::find_part` must equal
 //!   the character-by-character walk it replaced, kept below as the oracle.
 //!
@@ -20,7 +25,7 @@
 
 use proptest::test_runner::TestRng;
 use sockscope_filterlist::engine::find_part;
-use sockscope_filterlist::{Engine, RequestContext, ResourceType};
+use sockscope_filterlist::{Decision, Engine, PageFacts, RequestContext, ResourceType};
 use sockscope_urlkit::Url;
 
 /// Per-target case count: `FUZZ_CASES` env or 2500.
@@ -185,6 +190,127 @@ fn fuzz_evaluate_agrees_with_reference() {
         decided * 20 > fuzz_cases(),
         "only {decided} decisions matched a rule"
     );
+}
+
+/// Pieces of rules the token index cannot take: runs that touch a `*`,
+/// parts that are only `^`, and literals with no separator around them.
+const UNTOKENIZABLE: &[&str] = &[
+    "*ads", "ads*", "*banner_", "*track", "pixel*", "*^", "^*", "*^^", "*é", "*x_tail", "*ads^",
+    "*ad_tail", "*%",
+];
+
+/// A rule built mostly of [`UNTOKENIZABLE`] pieces, with the anchors and
+/// options of [`arbitrary_rule`].
+fn untokenizable_rule(rng: &mut TestRng) -> String {
+    let mut rule = String::new();
+    if rng.below(4) == 0 {
+        rule.push_str("@@");
+    }
+    if rng.below(5) == 0 {
+        rule.push('|');
+        rule.push_str(pick(rng, &["http://", "ws://"]));
+    }
+    for _ in 0..rng.usize_in(1, 4) {
+        rule.push_str(pick(rng, UNTOKENIZABLE));
+        if rng.below(3) == 0 {
+            rule.push_str(pick(rng, RULE_FRAGMENTS));
+        }
+    }
+    if rng.below(6) == 0 {
+        rule.push('|');
+    }
+    if rng.below(3) == 0 {
+        rule.push('$');
+        rule.push_str(pick(rng, OPTIONS));
+    }
+    rule
+}
+
+#[test]
+fn fuzz_untokenized_rules_agree_with_reference() {
+    let (mut decided, mut untokenized) = (0u64, 0u64);
+    for case in 0..fuzz_cases() {
+        let mut rng = TestRng::for_case("filterlist_untokenized", case);
+        let list: Vec<String> = (0..rng.usize_in(1, 12))
+            .map(|_| {
+                if rng.below(4) == 0 {
+                    arbitrary_rule(&mut rng)
+                } else {
+                    untokenizable_rule(&mut rng)
+                }
+            })
+            .collect();
+        let (engine, _unparsed) = Engine::parse(&list.join("\n"));
+        untokenized += engine.index_stats().untokenized as u64;
+        for _ in 0..8 {
+            let (Some(url), Some(page)) = (arbitrary_url(&mut rng), arbitrary_url(&mut rng)) else {
+                continue;
+            };
+            let ctx = RequestContext {
+                url: &url,
+                page: &page,
+                resource_type: TYPES[rng.usize_in(0, TYPES.len())],
+            };
+            let fast = engine.evaluate(&ctx);
+            assert_eq!(
+                fast,
+                engine.evaluate_reference(&ctx),
+                "case {case}: list {list:?} url {url} page {page} type {:?}",
+                ctx.resource_type
+            );
+            decided += u64::from(fast != Decision::None);
+        }
+    }
+    assert!(
+        decided * 10 > fuzz_cases(),
+        "only {decided} decisions matched a rule"
+    );
+    assert!(
+        untokenized > 2 * fuzz_cases(),
+        "only {untokenized} untokenized rules generated"
+    );
+}
+
+#[test]
+fn fuzz_page_facts_agree_with_evaluate() {
+    // Facts derived once and reused across a page's requests must never
+    // leak one request's answers into the next; IPv4 pages have no
+    // registrable domain, and same-site requests turn `$third-party` off.
+    for case in 0..fuzz_cases() {
+        let mut rng = TestRng::for_case("filterlist_page_facts", case);
+        let list: Vec<String> = (0..rng.usize_in(1, 12))
+            .map(|_| arbitrary_rule(&mut rng))
+            .collect();
+        let (engine, _unparsed) = Engine::parse(&list.join("\n"));
+        let page_host = pick(
+            &mut rng,
+            &["10.0.0.1", "pub.example", "cdn.ads.example", "co.uk"],
+        );
+        let Ok(page) = Url::parse(&format!("http://{page_host}/index.html")) else {
+            continue;
+        };
+        let facts = PageFacts::new(&page);
+        for _ in 0..8 {
+            // Half the requests stay on the page's host.
+            let url = if rng.below(2) == 0 {
+                Url::parse(&format!("https://{page_host}/ads/pixel.gif?x")).ok()
+            } else {
+                arbitrary_url(&mut rng)
+            };
+            let Some(url) = url else { continue };
+            let resource_type = TYPES[rng.usize_in(0, TYPES.len())];
+            let ctx = RequestContext {
+                url: &url,
+                page: &page,
+                resource_type,
+            };
+            assert_eq!(
+                engine.evaluate_on(&facts, &url, resource_type),
+                engine.evaluate(&ctx),
+                "case {case}: list {list:?} url {url} page {page} type {resource_type:?}"
+            );
+        }
+    }
 }
 
 /// Part alphabet: literals, separators and a non-ASCII character.

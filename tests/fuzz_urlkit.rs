@@ -17,10 +17,11 @@
 //! * the one-pass `Url::parse` and `Host::parse` and the suffix-first
 //!   `second_level_domain` give exactly the answers, errors included, of
 //!   the label-by-label forms they replaced, kept below in [`oracle`]:
-//!   on every public-suffix entry with zero to three labels prepended,
+//!   on every public-suffix entry with zero to five labels prepended,
 //!   and on URLs built from the shapes where the two could part
 //!   (userinfo, odd ports, near-IPv4 hosts, Unicode whitespace, non-ASCII
-//!   and upper-case hosts, label and name length limits, trailing dots).
+//!   and upper-case hosts, empty labels, hosts of one to six labels, label
+//!   and name length limits, leading and trailing dots).
 //!
 //! Mirrors `tests/fuzz_wsproto.rs`: every case derives from the vendored
 //! proptest [`TestRng`] so a failing case number reproduces exactly, and
@@ -368,7 +369,7 @@ fn diff_host(rng: &mut TestRng) -> String {
                 .join(".")
         }
         1 => {
-            let labels = rng.usize_in(0, 5);
+            let labels = rng.usize_in(0, 6);
             let last = pick(rng, LABELS);
             labels_before(rng, labels, last)
         }
@@ -379,7 +380,7 @@ fn diff_host(rng: &mut TestRng) -> String {
         },
         3 => {
             let suffixes: Vec<&str> = public_suffixes().collect();
-            let labels = rng.usize_in(0, 4);
+            let labels = rng.usize_in(0, 6);
             let suffix = pick(rng, &suffixes);
             labels_before(rng, labels, suffix)
         }
@@ -391,9 +392,10 @@ fn diff_host(rng: &mut TestRng) -> String {
     } else {
         host
     };
-    match rng.below(6) {
+    match rng.below(7) {
         0 => host + ".",
         1 => host + "..",
+        2 => format!(".{host}"),
         _ => host,
     }
 }
@@ -496,13 +498,18 @@ fn assert_matches_oracles(input: &str, host: &str, case: u64) {
 
 #[test]
 fn fuzz_parsers_match_the_replaced_forms() {
-    // Every suffix-list entry with zero to three labels prepended, bare
-    // and with a trailing dot.
+    // Every suffix-list entry with zero to five labels prepended, bare,
+    // with a leading dot and with a trailing dot.
     let mut rng = TestRng::for_case("url_oracle_suffixes", 0);
     for suffix in public_suffixes() {
-        for labels in 0..4 {
+        for labels in 0..6 {
             let host = labels_before(&mut rng, labels, suffix);
-            for host in [host.clone(), host.to_ascii_lowercase(), format!("{host}.")] {
+            for host in [
+                host.clone(),
+                host.to_ascii_lowercase(),
+                format!(".{host}"),
+                format!("{host}."),
+            ] {
                 assert_matches_oracles(&format!("http://{host}/"), &host, 0);
             }
         }
