@@ -10,7 +10,7 @@
 
 use crate::json;
 use serde::{Deserialize, Serialize};
-use sockscope_redlite::{DfaStats, Regex, RegexSet};
+use sockscope_redlite::{Regex, RegexSet};
 use sockscope_webmodel::SentItem;
 use std::collections::BTreeSet;
 
@@ -133,7 +133,7 @@ pub struct PiiLibrary {
     /// plus the few patterns that survive it.
     sent_set: RegexSet,
     /// The same patterns compiled individually — the pre-overhaul shape,
-    /// kept as the reference path for differential tests and benches.
+    /// kept as the reference path for differential tests.
     sent_ref: Vec<(SentItem, Regex)>,
     html: Regex,
     javascript: Regex,
@@ -196,8 +196,13 @@ impl PiiLibrary {
     }
 
     /// Reference classification: one independent Pike-VM scan per pattern,
-    /// exactly the pre-overhaul hot path. Kept for differential tests and
-    /// the `matchers` micro-bench.
+    /// exactly the pre-overhaul hot path.
+    ///
+    /// A test oracle: raced by `set_classification_equals_reference`,
+    /// `tests/fuzz_redlite.rs` and
+    /// `optimized_matchers_agree_with_their_references_on_crawl_traffic`
+    /// in `tests/snapshot_regression.rs`.
+    #[doc(hidden)]
     pub fn classify_sent_text_reference(&self, text: &str) -> BTreeSet<SentItem> {
         self.sent_ref
             .iter()
@@ -258,17 +263,6 @@ impl PiiLibrary {
                 }
             }
         }
-    }
-
-    /// Aggregated lazy-DFA cache counters across the library: every
-    /// sent-item pattern plus the received-side classifiers. Feeds the
-    /// `BENCH_pipeline.json` `matcher_cache` section.
-    pub fn cache_stats(&self) -> DfaStats {
-        let mut stats = self.sent_set.cache_stats();
-        stats.merge(&self.html.cache_stats());
-        stats.merge(&self.javascript.cache_stats());
-        stats.merge(&self.ad_image_url.cache_stats());
-        stats
     }
 
     /// Extracts Lockerdome-style ad-image URLs and captions from a payload

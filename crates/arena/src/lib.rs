@@ -15,7 +15,7 @@
 //!   arena borrow; resetting takes `&mut self`, so the borrow checker
 //!   statically proves no arena-backed string survives a reset.
 //! - The arena never frees chunks on reset — the high-water mark is the
-//!   steady-state footprint and is reported in the bench `arena` section.
+//!   steady-state footprint ([`Arena::capacity`]).
 //! - Every byte served is charged to the current memmeter task via
 //!   [`sockscope_exec::memmeter::task_charge`], so per-site allocation
 //!   budgets (and AllocBomb quarantine semantics) are independent of
@@ -25,43 +25,12 @@ use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::cell::{Cell, RefCell};
 use std::fmt::Write as _;
 use std::ptr::NonNull;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use sockscope_exec::memmeter;
 
 /// Minimum size of the first chunk. Sized so a typical page visit (rendered
 /// DOM + a handful of payloads) fits without spilling.
 const FIRST_CHUNK: usize = 64 * 1024;
-
-// Process-wide arena statistics, surfaced in the bench `arena` section.
-static HIGH_WATER: AtomicU64 = AtomicU64::new(0);
-static RESETS: AtomicU64 = AtomicU64::new(0);
-static SPILLS: AtomicU64 = AtomicU64::new(0);
-static SERVED_BYTES: AtomicU64 = AtomicU64::new(0);
-
-/// A snapshot of the process-wide arena counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ArenaStats {
-    /// Largest per-arena retained capacity seen, in bytes.
-    pub high_water_bytes: u64,
-    /// Number of [`Arena::reset`] calls.
-    pub resets: u64,
-    /// Number of chunk allocations beyond each arena's first chunk
-    /// (spills to the global allocator).
-    pub spills: u64,
-    /// Total bytes served out of arenas.
-    pub served_bytes: u64,
-}
-
-/// Reads the process-wide arena counters.
-pub fn stats() -> ArenaStats {
-    ArenaStats {
-        high_water_bytes: HIGH_WATER.load(Ordering::Relaxed),
-        resets: RESETS.load(Ordering::Relaxed),
-        spills: SPILLS.load(Ordering::Relaxed),
-        served_bytes: SERVED_BYTES.load(Ordering::Relaxed),
-    }
-}
 
 /// One raw chunk of arena storage. The heap buffer's address is stable for
 /// the chunk's lifetime even when the owning `Vec<Chunk>` reallocates, which
@@ -140,11 +109,7 @@ impl Arena {
     /// Resets the bump cursor, keeping every chunk's capacity. Requires
     /// `&mut self`, which statically ends all outstanding arena borrows.
     pub fn reset(&mut self) {
-        let chunks = self.chunks.get_mut();
-        let cap: usize = chunks.iter().map(|c| c.cap).sum();
-        HIGH_WATER.fetch_max(cap as u64, Ordering::Relaxed);
-        RESETS.fetch_add(1, Ordering::Relaxed);
-        for c in chunks.iter_mut() {
+        for c in self.chunks.get_mut().iter_mut() {
             c.len.set(0);
         }
     }
@@ -155,7 +120,6 @@ impl Arena {
             return NonNull::<u8>::dangling().as_ptr();
         }
         memmeter::task_charge(n as u64);
-        SERVED_BYTES.fetch_add(n as u64, Ordering::Relaxed);
         {
             let chunks = self.chunks.borrow();
             if let Some(last) = chunks.last() {
@@ -173,9 +137,6 @@ impl Arena {
             .unwrap_or(FIRST_CHUNK)
             .max(n)
             .max(FIRST_CHUNK);
-        if !chunks.is_empty() {
-            SPILLS.fetch_add(1, Ordering::Relaxed);
-        }
         chunks.push(Chunk::new(next));
         chunks
             .last()
@@ -365,16 +326,5 @@ mod tests {
             after.wrapping_sub(before) >= 1000,
             "arena must charge the task budget"
         );
-    }
-
-    #[test]
-    fn stats_move() {
-        let mut arena = Arena::new();
-        arena.alloc_bytes(&[0u8; 64]);
-        arena.reset();
-        let s = stats();
-        assert!(s.resets >= 1);
-        assert!(s.served_bytes >= 64);
-        assert!(s.high_water_bytes >= FIRST_CHUNK as u64);
     }
 }

@@ -8,39 +8,28 @@
 //! stage began) and **total allocations**. Whether those reductions are
 //! right is the identity suites' question (`orchestrator_identity`,
 //! `stream_identity`, the pinned crc); this harness only measures them.
-//! It then races the two matcher hot paths against their retained
-//! reference engines on a corpus harvested from a record-producing crawl
-//! of the same eras:
+//! It then races the supervised crawl against the unsupervised one on a
+//! clean era and counts the quarantines of a poisoned probe era. The
+//! optimised matchers are raced against their reference engines by
+//! `tests/snapshot_regression.rs`, not here; end-to-end throughput per
+//! workload is `sockbench`'s.
 //!
-//! * **classify** — `RegexSet` PII classification (per-pattern prefilter,
-//!   then that pattern's lazy DFA) vs the per-regex Pike-VM scan
-//!   ([`PiiLibrary::classify_sent_text_reference`]);
-//! * **decide** — token-indexed filter evaluation vs the linear
-//!   every-generic-rule scan ([`Engine::evaluate_reference`]).
-//!
-//! The result (wall times, memory counters, messages/sec, URLs/sec,
-//! lazy-DFA cache counters, token-index coverage) is written to
-//! `BENCH_pipeline.json`. Scale comes from `sockscope run`'s study flags:
-//! `perf --sites 2000`.
+//! Two rows too expensive to re-run on every regeneration are written by
+//! their own modes and carried forward: `--headline` (one era at the
+//! 1M-site scale) and `--longitudinal` (the 50-era snapshot lineage).
+//! Scale comes from `sockscope run`'s study flags: `perf --sites 2000`.
 //!
 //! `perf --check [path]` re-reads a written report and validates the
 //! schema: every key present, every timing positive, the memory counters
-//! nonzero where the pipeline allocates, both speedups finite, and the
-//! orchestrated allocations per site under a ceiling. CI's perf-smoke job
-//! checks the committed report, then runs `perf --sites 2000` and checks
-//! the fresh one.
-//!
-//! [`Engine::evaluate_reference`]: sockscope_filterlist::Engine::evaluate_reference
+//! nonzero where the pipeline allocates, the supervision overhead in its
+//! sanity band, and the orchestrated allocations per site under a
+//! ceiling. CI's perf-smoke job checks the committed report, then runs
+//! `perf --sites 2000` and checks the fresh one.
 
 use serde::{Deserialize, Serialize};
-use sockscope::StudyConfig;
-use sockscope_analysis::{PiiLibrary, Study};
-use sockscope_crawler::{RecordSink, SiteRecord};
+use sockscope::webgen::CrawlEra;
+use sockscope::{Study, StudyConfig};
 use sockscope_exec::memmeter::{CountingAlloc, Meter, StageStats};
-use sockscope_filterlist::{RequestContext, ResourceType};
-use sockscope_inclusion::NodeKind;
-use sockscope_urlkit::Url;
-use sockscope_webgen::CrawlEra;
 use std::time::Instant;
 
 // The counting allocator lives in `sockscope_exec::memmeter` (shared with
@@ -91,11 +80,7 @@ impl StageReport {
 // report schema
 // ---------------------------------------------------------------------------
 
-/// Matcher-corpus cap: keeps the before/after race bounded at paper scale.
-/// Corpus sizes are recorded in the report, so a capped run is visible.
-const MAX_CORPUS: usize = 250_000;
-
-const SCHEMA: &str = "sockscope-bench-pipeline/8";
+const SCHEMA: &str = "sockscope-bench-pipeline/9";
 const DEFAULT_PATH: &str = "BENCH_pipeline.json";
 
 /// Allocation-regression gate (`perf --check`): the orchestrated
@@ -112,11 +97,8 @@ struct BenchReport {
     threads: usize,
     seed_hex: String,
     stages: Stages,
-    arena: ArenaReport,
     orchestrator: OrchestratorReport,
     supervision: Supervision,
-    throughput: Throughput,
-    matchers: Matchers,
     /// Schema /6: the longitudinal lineage row, filled in by
     /// `perf --longitudinal` (all-zero until that runs; carried forward
     /// across regenerations like the headline row).
@@ -147,20 +129,6 @@ struct Longitudinal {
     /// Every era reconstructed byte-identically from the delta chain
     /// during measurement. `--check` fails the artifact if this is false.
     reconstruction_identical: bool,
-}
-
-/// Schema /5: process-wide bump-arena counters, read after every pipeline
-/// stage has run. `high_water_bytes` is the largest retained capacity of
-/// any single visit arena; `spills` counts chunk allocations beyond an
-/// arena's first (those go through the global allocator, so memmeter's
-/// budgets keep charging arena growth); `served_bytes` is the total the
-/// arenas handed out in place of individual heap allocations.
-#[derive(Debug, Serialize, Deserialize)]
-struct ArenaReport {
-    high_water_bytes: u64,
-    resets: u64,
-    spills: u64,
-    served_bytes: u64,
 }
 
 /// Schema /4: the supervised-execution section. A poisoned probe era
@@ -221,147 +189,6 @@ struct OrchestratorReport {
     /// `workers` says nothing about it; 0 means the headline predates
     /// this field and its worker count is unrecorded.
     headline_workers: usize,
-}
-
-#[derive(Debug, Serialize, Deserialize)]
-struct Throughput {
-    /// Classified payload messages per second (`RegexSet` path).
-    messages_per_s: f64,
-    /// Filter decisions per second (token-indexed path).
-    urls_per_s: f64,
-}
-
-#[derive(Debug, Serialize, Deserialize)]
-struct Matchers {
-    classify: Classify,
-    decide: Decide,
-    dfa: DfaCounters,
-    filter_index: IndexCounters,
-}
-
-#[derive(Debug, Serialize, Deserialize)]
-struct Classify {
-    /// Corpus size (handshakes + text frames + query-bearing URLs).
-    messages: usize,
-    /// Seconds on the `RegexSet` path (the key predates its per-pattern
-    /// DFAs, when the set was one combined pass).
-    one_pass_s: f64,
-    per_regex_s: f64,
-    /// `per_regex_s / one_pass_s`.
-    speedup: f64,
-    /// Total items found (must agree across both paths).
-    items: u64,
-}
-
-#[derive(Debug, Serialize, Deserialize)]
-struct Decide {
-    /// Corpus size (HTTP resource requests from the crawl).
-    urls: usize,
-    tokenized_s: f64,
-    linear_s: f64,
-    /// `linear_s / tokenized_s`.
-    speedup: f64,
-    /// Blocked requests (must agree across both paths).
-    blocked: u64,
-}
-
-/// [`sockscope_redlite::DfaStats`], flattened for the report.
-#[derive(Debug, Serialize, Deserialize)]
-struct DfaCounters {
-    states: u64,
-    classes: u64,
-    trans_computed: u64,
-    trans_cached: u64,
-    scans: u64,
-    fallbacks: u64,
-}
-
-/// [`sockscope_filterlist::IndexStats`], flattened for the report.
-#[derive(Debug, Serialize, Deserialize)]
-struct IndexCounters {
-    rules: u64,
-    domain_indexed: u64,
-    tokenized: u64,
-    untokenized: u64,
-}
-
-/// The matcher corpus harvested from crawl records.
-#[derive(Default)]
-struct Corpus {
-    /// Texts the reduction feeds to `classify_sent_text`.
-    messages: Vec<String>,
-    /// `(page_url, request_url, resource_type)` filter-decision inputs.
-    requests: Vec<(String, String, ResourceType)>,
-}
-
-impl Corpus {
-    /// Crawls `era_web` into site records and harvests each one as the
-    /// reducer receives it; the record is dropped once harvested, so no
-    /// stage holds the era's record set.
-    fn harvest_era(
-        &mut self,
-        era_web: &sockscope_webgen::SyntheticWeb,
-        crawl_config: &sockscope_crawler::CrawlConfig,
-        orch: &sockscope_crawler::OrchestratorConfig,
-    ) {
-        if self.messages.len() == MAX_CORPUS && self.requests.len() == MAX_CORPUS {
-            return; // a full corpus takes nothing from later eras
-        }
-        let era = &era_web.config().era;
-        let harvested = sockscope_crawler::crawl_orchestrated(
-            era_web,
-            crawl_config,
-            orch,
-            &|| sockscope_browser::ExtensionHost::stock(sockscope_crawler::browser_era(era)),
-            &RecordSink::default,
-            &|sink: &mut RecordSink| sink.take_record().expect("one record per site"),
-            &Corpus::default,
-            &|corpus: &mut Corpus, record| corpus.harvest(&record),
-        );
-        let room = MAX_CORPUS - self.messages.len();
-        self.messages
-            .extend(harvested.messages.into_iter().take(room));
-        let room = MAX_CORPUS - self.requests.len();
-        self.requests
-            .extend(harvested.requests.into_iter().take(room));
-    }
-
-    fn harvest(&mut self, record: &SiteRecord) {
-        for tree in &record.trees {
-            for node in tree.nodes() {
-                match node.kind {
-                    NodeKind::Script | NodeKind::Image | NodeKind::Xhr => {
-                        if self.requests.len() < MAX_CORPUS {
-                            let rtype = match node.kind {
-                                NodeKind::Script => ResourceType::Script,
-                                NodeKind::Image => ResourceType::Image,
-                                _ => ResourceType::Xhr,
-                            };
-                            self.requests
-                                .push((tree.page_url.clone(), node.url.clone(), rtype));
-                        }
-                        if node.url.contains('=') && self.messages.len() < MAX_CORPUS {
-                            self.messages.push(node.url.clone());
-                        }
-                    }
-                    NodeKind::WebSocket => {
-                        let Some(ws) = &node.ws else { continue };
-                        if self.messages.len() < MAX_CORPUS {
-                            self.messages.push(ws.handshake_request.clone());
-                        }
-                        for frame in &ws.sent {
-                            if let Some(t) = frame.as_text() {
-                                if !t.is_empty() && self.messages.len() < MAX_CORPUS {
-                                    self.messages.push(t.to_string());
-                                }
-                            }
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-    }
 }
 
 const USAGE: &str = "perf [study flags] | perf --headline [path] [study flags] | \
@@ -438,80 +265,6 @@ fn run(config: &StudyConfig) {
 
     let supervision = measure_supervision(&web, &engine, &crawl_config, &orch);
 
-    let mut corpus = Corpus::default();
-    for era in CrawlEra::ALL {
-        corpus.harvest_era(&web.for_era(era), &crawl_config, &orch);
-    }
-
-    // Matcher race 1: `RegexSet` PII classification vs per-regex reference.
-    // One untimed pass first fills the lazy DFAs, as a crawl's reduction
-    // would have, so the race times the steady state.
-    let lib = PiiLibrary::new();
-    for msg in &corpus.messages {
-        lib.classify_sent_text(msg);
-    }
-    let t = Instant::now();
-    let mut items_set = 0u64;
-    for msg in &corpus.messages {
-        items_set += lib.classify_sent_text(msg).len() as u64;
-    }
-    let one_pass_s = t.elapsed().as_secs_f64();
-    let t = Instant::now();
-    let mut items_per_regex = 0u64;
-    for msg in &corpus.messages {
-        items_per_regex += lib.classify_sent_text_reference(msg).len() as u64;
-    }
-    let per_regex_s = t.elapsed().as_secs_f64();
-    assert_eq!(
-        items_set, items_per_regex,
-        "set and per-regex classification disagree"
-    );
-
-    // Matcher race 2: token-indexed filter decide vs linear reference.
-    let parsed: Vec<(Url, Url, ResourceType)> = corpus
-        .requests
-        .iter()
-        .filter_map(|(page, url, rtype)| {
-            Some((Url::parse(page).ok()?, Url::parse(url).ok()?, *rtype))
-        })
-        .collect();
-    let t = Instant::now();
-    let mut blocked_tokenized = 0u64;
-    for (page, url, resource_type) in &parsed {
-        let ctx = RequestContext {
-            url,
-            page,
-            resource_type: *resource_type,
-        };
-        blocked_tokenized += engine.evaluate(&ctx).is_blocked() as u64;
-    }
-    let tokenized_s = t.elapsed().as_secs_f64();
-    let t = Instant::now();
-    let mut blocked_linear = 0u64;
-    for (page, url, resource_type) in &parsed {
-        let ctx = RequestContext {
-            url,
-            page,
-            resource_type: *resource_type,
-        };
-        blocked_linear += engine.evaluate_reference(&ctx).is_blocked() as u64;
-    }
-    let linear_s = t.elapsed().as_secs_f64();
-    assert_eq!(
-        blocked_tokenized, blocked_linear,
-        "tokenized and linear filter decisions disagree"
-    );
-
-    let dfa = lib.cache_stats();
-    let index = engine.index_stats();
-    let arena = sockscope_arena::stats();
-    eprintln!(
-        "[sockscope] arena: high-water {} B, {} resets, {} spills, {:.1} MiB served",
-        arena.high_water_bytes,
-        arena.resets,
-        arena.spills,
-        arena.served_bytes as f64 / (1024.0 * 1024.0)
-    );
     let mut stages = Stages {
         universe: StageReport::from_stats(universe),
         filters: StageReport::from_stats(filters),
@@ -529,18 +282,12 @@ fn run(config: &StudyConfig) {
         stages.orchestrated_pipeline.allocs_per_site,
         stages.orchestrated_pipeline.bytes_allocd_per_site
     );
-    let report = BenchReport {
+    let mut report = BenchReport {
         schema: SCHEMA.to_string(),
         sites: config.n_sites,
         threads: config.threads,
         seed_hex: format!("{:#x}", config.seed),
         stages,
-        arena: ArenaReport {
-            high_water_bytes: arena.high_water_bytes,
-            resets: arena.resets,
-            spills: arena.spills,
-            served_bytes: arena.served_bytes,
-        },
         orchestrator: OrchestratorReport {
             workers: orch.workers,
             queue_depth: orch.queue_depth,
@@ -551,63 +298,13 @@ fn run(config: &StudyConfig) {
             headline_workers: 0,
         },
         supervision,
-        throughput: Throughput {
-            messages_per_s: corpus.messages.len() as f64 / one_pass_s.max(1e-9),
-            urls_per_s: parsed.len() as f64 / tokenized_s.max(1e-9),
-        },
-        matchers: Matchers {
-            classify: Classify {
-                messages: corpus.messages.len(),
-                one_pass_s,
-                per_regex_s,
-                speedup: per_regex_s / one_pass_s.max(1e-9),
-                items: items_set,
-            },
-            decide: Decide {
-                urls: parsed.len(),
-                tokenized_s,
-                linear_s,
-                speedup: linear_s / tokenized_s.max(1e-9),
-                blocked: blocked_tokenized,
-            },
-            dfa: DfaCounters {
-                states: dfa.states,
-                classes: dfa.classes,
-                trans_computed: dfa.trans_computed,
-                trans_cached: dfa.trans_cached,
-                scans: dfa.scans,
-                fallbacks: dfa.fallbacks,
-            },
-            filter_index: IndexCounters {
-                rules: index.rules as u64,
-                domain_indexed: index.domain_indexed as u64,
-                tokenized: index.tokenized as u64,
-                untokenized: index.untokenized as u64,
-            },
-        },
         longitudinal: Longitudinal::default(),
     };
-
-    let mut report = report;
     carry_headline(&mut report);
     carry_longitudinal(&mut report);
 
     let json = serde_json::to_string(&report).expect("report serializes");
     std::fs::write(DEFAULT_PATH, &json).expect("write BENCH_pipeline.json");
-    eprintln!(
-        "[sockscope] classify: {} msgs, set {:.2}s vs per-regex {:.2}s ({:.1}x)",
-        report.matchers.classify.messages,
-        report.matchers.classify.one_pass_s,
-        report.matchers.classify.per_regex_s,
-        report.matchers.classify.speedup
-    );
-    eprintln!(
-        "[sockscope] decide: {} urls, tokenized {:.2}s vs linear {:.2}s ({:.1}x)",
-        report.matchers.decide.urls,
-        report.matchers.decide.tokenized_s,
-        report.matchers.decide.linear_s,
-        report.matchers.decide.speedup
-    );
     eprintln!("[sockscope] wrote {DEFAULT_PATH}");
     println!("{json}");
 }
@@ -617,14 +314,14 @@ fn run(config: &StudyConfig) {
 /// race also re-proves the bytes) and a poisoned probe era whose
 /// quarantine table yields the per-reason counts.
 fn measure_supervision(
-    web: &sockscope_webgen::SyntheticWeb,
-    engine: &sockscope_filterlist::Engine,
-    crawl_config: &sockscope_crawler::CrawlConfig,
-    orch: &sockscope_crawler::OrchestratorConfig,
+    web: &sockscope::webgen::SyntheticWeb,
+    engine: &sockscope::filterlist::Engine,
+    crawl_config: &sockscope::crawler::CrawlConfig,
+    orch: &sockscope::crawler::OrchestratorConfig,
 ) -> Supervision {
     let era_web = web.for_era(CrawlEra::ALL[0]);
     let race = |supervised: bool| {
-        let orch = sockscope_crawler::OrchestratorConfig {
+        let orch = sockscope::crawler::OrchestratorConfig {
             supervised,
             ..orch.clone()
         };
@@ -655,7 +352,7 @@ fn measure_supervision(
     // Poisoned probe: same universe, era 1, hazard-only profile. The
     // supervisor must complete the era and account every poisoned site.
     let probe_web = web.for_era(CrawlEra::ALL[1]);
-    let probe_config = sockscope_crawler::CrawlConfig {
+    let probe_config = sockscope::crawler::CrawlConfig {
         faults: Some(sockscope::faults::FaultProfile::poison()),
         ..crawl_config.clone()
     };
@@ -795,7 +492,7 @@ fn longitudinal(path: &str, mut config: StudyConfig) {
     if config.timeline.is_paper() {
         let n = 50;
         config.timeline =
-            sockscope_webgen::EraTimeline::synthetic(n, config.seed ^ 0x0E5A_51DE, n / 2);
+            sockscope::webgen::EraTimeline::synthetic(n, config.seed ^ 0x0E5A_51DE, n / 2);
     }
     let eras = config.timeline.len();
     eprintln!(
@@ -816,10 +513,10 @@ fn longitudinal(path: &str, mut config: StudyConfig) {
         let snapshot = {
             let prefix = Study::assemble(
                 &web,
-                sockscope_filterlist::Engine::default(),
+                sockscope::filterlist::Engine::default(),
                 study.reductions[..=k].to_vec(),
             );
-            sockscope_analysis::StudySnapshot::capture(&prefix)
+            sockscope::analysis::StudySnapshot::capture(&prefix)
                 .to_json()
                 .into_bytes()
         };
@@ -866,7 +563,7 @@ fn longitudinal(path: &str, mut config: StudyConfig) {
 /// `--sites` scale (the README quotes `perf --headline --sites 1000000`) —
 /// and patches the result into an existing report at `path`. Kept separate
 /// from `run()` because the headline scale is orders of magnitude above
-/// the differential/matcher scale and only exercises the one pipeline
+/// the differential scale and only exercises the one pipeline
 /// whose memory stays bounded at that size.
 fn headline(path: &str, config: &StudyConfig) {
     let text = std::fs::read_to_string(path)
@@ -969,31 +666,6 @@ fn validate(report: &BenchReport) {
         report.stages.orchestrated_pipeline.allocs_per_site,
         ORCHESTRATED_ALLOCS_PER_SITE_CEILING
     );
-    // Arena section (schema /5): the pipeline runs arena-backed visits,
-    // so the counters cannot be flat.
-    assert!(
-        report.arena.high_water_bytes > 0,
-        "arena.high_water_bytes must be nonzero"
-    );
-    assert!(report.arena.resets > 0, "arena.resets must be nonzero");
-    assert!(
-        report.arena.served_bytes > 0,
-        "arena.served_bytes must be nonzero"
-    );
-    assert!(report.throughput.messages_per_s > 0.0);
-    assert!(report.throughput.urls_per_s > 0.0);
-    assert!(
-        report.matchers.classify.messages > 0,
-        "empty classify corpus"
-    );
-    assert!(report.matchers.decide.urls > 0, "empty decide corpus");
-    for (name, v) in [
-        ("classify.speedup", report.matchers.classify.speedup),
-        ("decide.speedup", report.matchers.decide.speedup),
-    ] {
-        assert!(v.is_finite() && v > 0.0, "{name} must be positive, got {v}");
-    }
-    assert!(report.matchers.filter_index.rules > 0, "no rules compiled");
     assert!(
         report.orchestrator.workers >= 1,
         "orchestrator ran with no workers"

@@ -1,11 +1,11 @@
 //! Shared plumbing for the perf harness and the ablations.
 //!
 //! The paper's tables and figures come from the `sockscope` CLI; this
-//! crate holds only what the CLI does not: `perf`, the two ablations and
-//! the criterion benches. Its binaries take `sockscope run`'s study flags
-//! (`--sites`, `--seed`, `--threads`, `--workers`, `--queue-depth`,
-//! `--faults`, `--eras`), parsed by the CLI's own parser, so a bad value is
-//! the same typed error it is there.
+//! crate holds only what the CLI does not: `perf` and the two ablations.
+//! Its binaries take `sockscope run`'s study flags (`--sites`, `--seed`,
+//! `--threads`, `--workers`, `--queue-depth`, `--faults`, `--eras`),
+//! parsed by the CLI's own parser, so a bad value is the same typed error
+//! it is there.
 
 #![forbid(unsafe_code)]
 

@@ -24,9 +24,8 @@
 //! Every site — orchestrated or not — runs through one frontier/fault
 //! loop (`drive_site`). [`crawl_reference`] is the serial,
 //! record-materializing oracle over that same loop: it buffers each
-//! page's events and batch-builds its tree. Tests and the `perf`
-//! harness's reference rows race it against the orchestrator; no
-//! production path calls it.
+//! page's events and batch-builds its tree. Tests race it against the
+//! orchestrator; no production path calls it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -397,8 +396,7 @@ fn site_plan<'p>(
 
 /// The reference crawl: every site of `web`, serially, with a stock
 /// browser for the universe's era — the record-materializing oracle the
-/// tests and the `perf` harness race the orchestrator against. No
-/// production path calls it.
+/// tests race the orchestrator against. No production path calls it.
 ///
 /// Each page's full event stream is buffered by
 /// [`Browser::visit_with_faults`] and its inclusion tree batch-built with

@@ -96,7 +96,7 @@ pub struct Engine {
     untokenized: Vec<usize>,
 }
 
-/// Candidate-narrowing statistics for the perf harness.
+/// Candidate-narrowing statistics: how many rules each index reaches.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IndexStats {
     /// Total compiled rules.
@@ -258,9 +258,13 @@ impl Engine {
     }
 
     /// Reference evaluation: the pre-token-index shape, scanning every
-    /// generic rule per request. Kept for differential tests and the
-    /// `matchers` micro-bench; must agree with [`Engine::evaluate`] on
+    /// generic rule per request. Must agree with [`Engine::evaluate`] on
     /// every request (including the winning rule index).
+    ///
+    /// A test oracle: raced by `tests/fuzz_filterlist.rs`,
+    /// `optimized_matchers_agree_with_their_references_on_crawl_traffic`
+    /// in `tests/snapshot_regression.rs` and this module's unit tests.
+    #[doc(hidden)]
     pub fn evaluate_reference(&self, ctx: &RequestContext<'_>) -> Decision {
         let mut url_text = String::new();
         write_url_text(ctx.url, &mut url_text);

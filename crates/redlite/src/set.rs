@@ -132,8 +132,11 @@ impl RegexSet {
     }
 
     /// Reference path: N independent Pike-VM scans, no prefilter or DFA.
-    /// Exists so tests and benches can compare the fast path against the
-    /// naive shape.
+    ///
+    /// A test oracle: raced by `fast_path_agrees_with_reference`,
+    /// `literals_past_the_sixty_fourth_admit_their_pattern` and
+    /// `tests/fuzz_redlite.rs`.
+    #[doc(hidden)]
     pub fn matches_reference(&self, haystack: &str) -> SetMatches {
         self.mask_by(|_, re| re.pikevm_is_match(haystack))
     }
