@@ -15,10 +15,14 @@
 //! ## Page lifetime rules
 //!
 //! All per-page state — the tree builder with its parsed node URLs and
-//! the eager side tables keyed by [`NodeId`] — is scoped to a single page
-//! and dropped at `page_end`/`page_abort`. Nothing page-scoped survives
-//! into the [`CrawlReduction`], which stores only resolved strings; this
-//! is what lets shards merge across threads without any shared table.
+//! the eager side tables keyed by [`NodeId`] — is scoped to a single page:
+//! `page_begin` resets it and `page_end`/`page_abort`/`site_abort` close
+//! it. The shard keeps the buffers (the builder, its maps, the spent
+//! tree's node vectors, the side tables) from page to page, the way the
+//! browser keeps its visit arena, so a torn page leaves only contents the
+//! next `page_begin` clears. Nothing page-scoped survives into the
+//! [`CrawlReduction`], which stores only resolved strings; this is what
+//! lets shards merge across threads without any shared table.
 
 use crate::pii::{PiiLibrary, ReceivedClass};
 use crate::reduce::{CrawlReduction, PayloadSource, WsPayloadSummary};
@@ -42,6 +46,7 @@ struct WsEager {
 }
 
 /// Per-page fused state: the incremental tree plus the eager side tables.
+/// Reset, not rebuilt, at each `page_begin`.
 struct PageState {
     builder: TreeBuilder,
     /// `ResponseReceived` classifications for `Image`/`Xhr` nodes (the only
@@ -86,7 +91,9 @@ pub struct FusedShard<'e> {
     site_domain: String,
     site_pages: usize,
     site_sockets: usize,
-    page: Option<PageState>,
+    page: PageState,
+    /// Whether a page is open (between `page_begin` and its closing call).
+    page_open: bool,
 }
 
 impl<'e> FusedShard<'e> {
@@ -101,7 +108,12 @@ impl<'e> FusedShard<'e> {
             site_domain: String::new(),
             site_pages: 0,
             site_sockets: 0,
-            page: None,
+            page: PageState {
+                builder: TreeBuilder::new(""),
+                recv_class: HashMap::new(),
+                ws: HashMap::new(),
+            },
+            page_open: false,
         }
     }
 
@@ -112,7 +124,7 @@ impl<'e> FusedShard<'e> {
     /// context (engine borrow + PII library) stays warm across sites while
     /// each site's reduction travels to the reduce stage on its own.
     pub fn take_site_reduction(&mut self) -> CrawlReduction {
-        debug_assert!(self.page.is_none(), "taken mid-page");
+        debug_assert!(!self.page_open, "taken mid-page");
         let fresh = CrawlReduction::new(self.reduction.label.clone(), self.reduction.pre_patch);
         std::mem::replace(&mut self.reduction, fresh)
     }
@@ -120,10 +132,11 @@ impl<'e> FusedShard<'e> {
 
 impl VisitSink for FusedShard<'_> {
     fn on_event(&mut self, event: CdpEvent) {
-        let page = self
-            .page
-            .as_mut()
-            .expect("events arrive only between page_begin and page_end");
+        assert!(
+            self.page_open,
+            "events arrive only between page_begin and page_end"
+        );
+        let page = &mut self.page;
         match event {
             CdpEvent::ResponseReceived {
                 request_id,
@@ -144,7 +157,7 @@ impl VisitSink for FusedShard<'_> {
                             .insert(id, self.lib.classify_received(&body));
                     }
                 }
-                page.builder.push(&CdpEvent::ResponseReceived {
+                page.builder.push(CdpEvent::ResponseReceived {
                     request_id,
                     url,
                     status,
@@ -176,7 +189,7 @@ impl VisitSink for FusedShard<'_> {
                 // Only the status is read downstream; the raw response
                 // bytes are dropped here.
                 page.builder
-                    .push(&CdpEvent::WebSocketHandshakeResponseReceived {
+                    .push(CdpEvent::WebSocketHandshakeResponseReceived {
                         request_id,
                         status,
                         response: Cow::Borrowed(&[]),
@@ -220,7 +233,7 @@ impl VisitSink for FusedShard<'_> {
             }
             // Structural events (including WebSocket open/error/close)
             // carry no payload worth stripping; feed them through.
-            other => page.builder.push(&other),
+            other => page.builder.push(other),
         }
     }
 }
@@ -235,15 +248,17 @@ impl SiteSink for FusedShard<'_> {
     }
 
     fn page_begin(&mut self, url: &str) {
-        self.page = Some(PageState {
-            builder: TreeBuilder::new(url),
-            recv_class: HashMap::new(),
-            ws: HashMap::new(),
-        });
+        let page = &mut self.page;
+        page.builder.reset(url);
+        page.recv_class.clear();
+        page.ws.clear();
+        self.page_open = true;
     }
 
     fn page_end(&mut self) {
-        let page = self.page.take().expect("page_end after page_begin");
+        assert!(self.page_open, "page_end after page_begin");
+        self.page_open = false;
+        let page = &mut self.page;
         let tree = page.builder.finish();
         let payloads = EagerPayloads {
             recv_class: &page.recv_class,
@@ -257,11 +272,12 @@ impl SiteSink for FusedShard<'_> {
             &self.lib,
             &payloads,
         );
+        page.builder.recycle(tree);
         self.site_pages += 1;
     }
 
     fn page_abort(&mut self) {
-        self.page = None;
+        self.page_open = false;
     }
 
     fn site_end(&mut self, faults: Option<&SiteFaults>) {
@@ -276,7 +292,7 @@ impl SiteSink for FusedShard<'_> {
         // supervised driver — the shard is drained with
         // `take_site_reduction` after every site, so the accumulated
         // reduction holds exactly the aborted site and nothing else.
-        self.page = None;
+        self.page_open = false;
         self.site_pages = 0;
         self.site_sockets = 0;
         let _ = self.take_site_reduction();
@@ -290,8 +306,10 @@ impl SiteSink for FusedShard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sockscope_browser::{Browser, BrowserConfig, ExtensionHost};
     use sockscope_crawler::{
-        browser_era, crawl_orchestrated, crawl_reference, CrawlConfig, OrchestratorConfig,
+        browser_era, crawl_one_site_sink, crawl_orchestrated, crawl_reference, CrawlConfig,
+        OrchestratorConfig,
     };
     use sockscope_faults::FaultProfile;
     use sockscope_webgen::{SyntheticWeb, WebGenConfig};
@@ -336,6 +354,65 @@ mod tests {
             fused.normalize();
 
             assert_eq!(fused, batch);
+        }
+    }
+
+    /// Forwards the first `left` events of a visit and drops the rest: a
+    /// page torn mid-stream.
+    struct Torn<'s, 'e> {
+        shard: &'s mut FusedShard<'e>,
+        left: usize,
+    }
+
+    impl VisitSink for Torn<'_, '_> {
+        fn on_event(&mut self, event: CdpEvent) {
+            if self.left > 0 {
+                self.left -= 1;
+                self.shard.on_event(event);
+            }
+        }
+    }
+
+    /// A shard kept across sites, pages, torn pages and `page_abort`s
+    /// reduces every site exactly like a fresh shard: the recycled page
+    /// state (builder, maps, node vectors, side tables) carries nothing
+    /// from one page to the next.
+    #[test]
+    fn a_reused_shard_reduces_like_a_fresh_one() {
+        let web = SyntheticWeb::new(WebGenConfig {
+            n_sites: 24,
+            ..WebGenConfig::default()
+        });
+        let engine = crate::study::Study::engine_for(&web);
+        let browser = Browser::new(
+            &web,
+            ExtensionHost::stock(browser_era(&web.config().era)),
+            BrowserConfig::default(),
+        );
+        // Heavy faults make unreachable pages, which the crawler aborts.
+        let config = CrawlConfig {
+            faults: Some(FaultProfile::heavy()),
+            ..CrawlConfig::default()
+        };
+        let mut reused = FusedShard::new("era", true, &engine);
+        for i in 0..web.sites().len() {
+            let home = web.sites()[i].homepage();
+            reused.page_begin(&home);
+            let mut torn = Torn {
+                shard: &mut reused,
+                left: 3 + 5 * i,
+            };
+            browser.visit_streamed(&home, None, &mut torn).unwrap();
+            reused.page_abort();
+            crawl_one_site_sink(&web, &config, &browser, i, &mut reused);
+
+            let mut fresh = FusedShard::new("era", true, &engine);
+            crawl_one_site_sink(&web, &config, &browser, i, &mut fresh);
+            assert_eq!(
+                reused.take_site_reduction(),
+                fresh.take_site_reduction(),
+                "site {i}"
+            );
         }
     }
 }

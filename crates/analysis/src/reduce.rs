@@ -460,7 +460,8 @@ impl CrawlReduction {
         lib: &PiiLibrary,
         payloads: &dyn PayloadSource,
     ) -> usize {
-        // Every URL below is the tree builder's one parse of it.
+        // Every URL below is the one parse the tree carries: the browser's,
+        // or the builder's own for the root and inline scripts.
         let page = tree.url(tree.root().id);
         // What rule options ask of the page, derived once for its requests.
         let page_facts = page.map(PageFacts::new);
@@ -726,12 +727,14 @@ mod tests {
             ScriptParsed {
                 script_id: ScriptId(1),
                 url: "https://v2.zopim.com/zopim.js?s=1&p=0".into(),
+                parsed_url: None,
                 frame_id: FrameId(0),
                 initiator: Initiator::Parser(FrameId(0)),
             },
             RequestWillBeSent {
                 request_id: RequestId(1),
                 url: "https://v2.zopim.com/collect/beacon.gif?cookie=uid=1".into(),
+                parsed_url: None,
                 resource_type: sockscope_browser::ResourceKind::Image,
                 initiator: Initiator::Script(ScriptId(1)),
                 frame_id: FrameId(0),
@@ -739,6 +742,7 @@ mod tests {
             WebSocketCreated {
                 request_id: RequestId(2),
                 url: "wss://ws.zopim.com/socket".into(),
+                parsed_url: None,
                 initiator: Initiator::Script(ScriptId(1)),
                 frame_id: FrameId(0),
             },

@@ -7,6 +7,12 @@
 //! [`Arena`] that is reset at the start of each visit, and events borrow
 //! from it ([`CdpEvent`]'s `Cow` fields). Sinks that outlive the call copy
 //! out via [`CdpEvent::into_owned`]; the streaming pipeline never does.
+//!
+//! The rest of a visit's state follows the same discipline: the browser
+//! keeps one [`ValueContext`], reseeded per visit, and one [`CookieJar`],
+//! cleared per visit, instead of building new ones. Each request URL is
+//! parsed once: the parse answers the extension host, then moves into the
+//! event that creates the request's inclusion-tree node (`parsed_url`).
 
 use crate::cookies::CookieJar;
 use crate::events::{
@@ -20,7 +26,7 @@ use sockscope_faults::{FaultContext, FaultDecision};
 use sockscope_urlkit::Url;
 use sockscope_webmodel::{Action, Page, ScriptRef, SentItem, ValueContext, WebHost};
 use std::borrow::Cow;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 
 /// Ground truth for requests that only leak the User-Agent header.
 const GROUND_UA: &[SentItem] = &[SentItem::UserAgent];
@@ -142,6 +148,20 @@ pub struct Browser<'h> {
     /// the next visit clears before emitting anything; the `RefCell` guard
     /// drops during unwind and is never poisoned.
     arena: RefCell<Arena>,
+    /// The per-visit state kept between visits: taken at the start of each
+    /// visit and handed back at its end, so a visit torn by an unwinding
+    /// sink simply loses it and the next visit starts from empty buffers.
+    spare: Cell<VisitBuffers>,
+}
+
+/// Per-visit state a visit resets instead of rebuilding: the payload
+/// values (reseeded per visit), the cookie jar (cleared per visit) and the
+/// query-string scratch buffer.
+#[derive(Default)]
+struct VisitBuffers {
+    ctx: ValueContext,
+    jar: CookieJar,
+    scratch_query: String,
 }
 
 impl<'h> Browser<'h> {
@@ -153,6 +173,7 @@ impl<'h> Browser<'h> {
             extensions,
             config,
             arena: RefCell::new(Arena::new()),
+            spare: Cell::default(),
         }
     }
 
@@ -234,16 +255,23 @@ impl<'h> Browser<'h> {
         // any allocation, so every `&'ar` handed out below is fresh.
         self.arena.borrow_mut().reset();
         let arena = self.arena.borrow();
+        let VisitBuffers {
+            mut ctx,
+            mut jar,
+            scratch_query,
+        } = self.spare.take();
+        ctx.reseed(self.config.seed ^ fnv1a(url));
+        jar.clear();
 
         let mut state = VisitState {
             browser: self,
-            page_url: page_url.clone(),
+            page_url,
             sink,
             arena: &arena,
             blocked: Vec::new(),
-            jar: CookieJar::new(),
-            ctx: ValueContext::deterministic(self.config.seed ^ fnv1a(url)),
-            scratch_query: String::new(),
+            jar,
+            ctx,
+            scratch_query,
             next_request: 0,
             next_script: 0,
             next_frame: 1,
@@ -268,6 +296,7 @@ impl<'h> Browser<'h> {
         state.sink.on_event(CdpEvent::RequestWillBeSent {
             request_id: rid,
             url: Cow::Borrowed(url),
+            parsed_url: Some(Cow::Borrowed(&state.page_url)),
             resource_type: ResourceKind::Document,
             initiator: Initiator::Parser(main_frame),
             frame_id: main_frame,
@@ -283,9 +312,14 @@ impl<'h> Browser<'h> {
 
         state.load_frame(&page, main_frame, 0);
 
+        self.spare.set(VisitBuffers {
+            ctx: state.ctx,
+            jar: state.jar,
+            scratch_query: state.scratch_query,
+        });
         Ok(VisitSummary {
-            page_url,
-            links: page.links.clone(),
+            page_url: state.page_url,
+            links: page.links,
             blocked: state.blocked,
             faults: state.fault_log,
         })
@@ -413,7 +447,24 @@ impl<'ar> VisitState<'_, '_, '_, 'ar> {
     fn load_frame(&mut self, page: &Page, frame: FrameId, frame_depth: usize) {
         // Scripts in document order.
         for (i, script) in page.scripts.iter().enumerate() {
-            self.load_script(script, i, page, frame, Initiator::Parser(frame), 0);
+            let initiator = Initiator::Parser(frame);
+            match script {
+                ScriptRef::Remote(url) => self.load_script(url, frame, initiator, 0),
+                ScriptRef::Inline(behaviour) => {
+                    let sid = self.next_script_id();
+                    let url = self
+                        .arena
+                        .alloc_fmt(format_args!("{}#inline-{}", page.url, i));
+                    self.sink.on_event(CdpEvent::ScriptParsed {
+                        script_id: sid,
+                        url: Cow::Borrowed(url),
+                        parsed_url: None,
+                        frame_id: frame,
+                        initiator,
+                    });
+                    self.execute(behaviour, sid, frame, 0);
+                }
+            }
         }
         // Static images.
         for img in &page.images {
@@ -425,75 +476,59 @@ impl<'ar> VisitState<'_, '_, '_, 'ar> {
         }
     }
 
+    /// Fetches and runs a remote script: a `<script src>` of the page or a
+    /// script's dynamic include.
     fn load_script(
         &mut self,
-        script: &ScriptRef,
-        index: usize,
-        page: &Page,
+        url_text: &str,
         frame: FrameId,
         initiator: Initiator,
         include_depth: usize,
     ) {
-        match script {
-            ScriptRef::Remote(url_text) => {
-                let url = match Url::parse(url_text) {
-                    Ok(u) => u,
-                    Err(_) => return,
-                };
-                if !self.allowed(&url, ResourceKind::Script, initiator) {
-                    return;
-                }
-                let rid = self.next_request_id();
-                self.sink.on_event(CdpEvent::RequestWillBeSent {
-                    request_id: rid,
-                    url: Cow::Borrowed(url_text),
-                    resource_type: ResourceKind::Script,
-                    initiator,
-                    frame_id: frame,
-                });
-                let behaviour = self.browser.host.get_script(url_text);
-                let status = if behaviour.is_some() { 200 } else { 404 };
-                self.sink.on_event(CdpEvent::ResponseReceived {
-                    request_id: rid,
-                    url: Cow::Borrowed(url_text),
-                    status,
-                    mime_type: Cow::Borrowed("application/javascript"),
-                    body: Cow::Borrowed(&[]),
-                    sent_ground_truth: Cow::Borrowed(GROUND_UA),
-                });
-                let Some(behaviour) = behaviour else { return };
-                // Third parties set cookies when their script is fetched —
-                // this is what later makes WS handshakes to them stateful.
-                let host = url.host_str();
-                let mut uid = [0u8; 16];
-                self.jar.set(
-                    host,
-                    "uid",
-                    hex16(fnv1a(host) ^ self.browser.config.seed, &mut uid),
-                );
-                let sid = self.next_script_id();
-                self.sink.on_event(CdpEvent::ScriptParsed {
-                    script_id: sid,
-                    url: Cow::Borrowed(url_text),
-                    frame_id: frame,
-                    initiator,
-                });
-                self.execute(&behaviour, sid, frame, include_depth);
-            }
-            ScriptRef::Inline(behaviour) => {
-                let sid = self.next_script_id();
-                let url = self
-                    .arena
-                    .alloc_fmt(format_args!("{}#inline-{}", page.url, index));
-                self.sink.on_event(CdpEvent::ScriptParsed {
-                    script_id: sid,
-                    url: Cow::Borrowed(url),
-                    frame_id: frame,
-                    initiator,
-                });
-                self.execute(behaviour, sid, frame, include_depth);
-            }
+        let Ok(url) = Url::parse(url_text) else {
+            return;
+        };
+        if !self.allowed(&url, ResourceKind::Script, initiator) {
+            return;
         }
+        let rid = self.next_request_id();
+        self.sink.on_event(CdpEvent::RequestWillBeSent {
+            request_id: rid,
+            url: Cow::Borrowed(url_text),
+            parsed_url: Some(Cow::Borrowed(&url)),
+            resource_type: ResourceKind::Script,
+            initiator,
+            frame_id: frame,
+        });
+        let behaviour = self.browser.host.get_script(url_text);
+        let status = if behaviour.is_some() { 200 } else { 404 };
+        self.sink.on_event(CdpEvent::ResponseReceived {
+            request_id: rid,
+            url: Cow::Borrowed(url_text),
+            status,
+            mime_type: Cow::Borrowed("application/javascript"),
+            body: Cow::Borrowed(&[]),
+            sent_ground_truth: Cow::Borrowed(GROUND_UA),
+        });
+        let Some(behaviour) = behaviour else { return };
+        // Third parties set cookies when their script is fetched — this is
+        // what later makes WS handshakes to them stateful.
+        let host = url.host_str();
+        let mut uid = [0u8; 16];
+        self.jar.set(
+            host,
+            "uid",
+            hex16(fnv1a(host) ^ self.browser.config.seed, &mut uid),
+        );
+        let sid = self.next_script_id();
+        self.sink.on_event(CdpEvent::ScriptParsed {
+            script_id: sid,
+            url: Cow::Borrowed(url_text),
+            parsed_url: Some(Cow::Owned(url)),
+            frame_id: frame,
+            initiator,
+        });
+        self.execute(&behaviour, sid, frame, include_depth);
     }
 
     fn execute(
@@ -506,22 +541,9 @@ impl<'ar> VisitState<'_, '_, '_, 'ar> {
         for action in &behaviour.actions {
             match action {
                 Action::IncludeScript { url } => {
-                    if include_depth >= self.browser.config.max_include_depth {
-                        continue;
+                    if include_depth < self.browser.config.max_include_depth {
+                        self.load_script(url, frame, Initiator::Script(sid), include_depth + 1);
                     }
-                    let sref = ScriptRef::Remote(url.clone());
-                    // Dynamic includes are always remote, so the page
-                    // argument (only read for inline-script URLs) can be
-                    // the allocation-free empty page.
-                    let page = Page::default();
-                    self.load_script(
-                        &sref,
-                        0,
-                        &page,
-                        frame,
-                        Initiator::Script(sid),
-                        include_depth + 1,
-                    );
                 }
                 Action::FetchImage { url, sent } => {
                     self.fetch_image(url, frame, Initiator::Script(sid), sent);
@@ -534,10 +556,15 @@ impl<'ar> VisitState<'_, '_, '_, 'ar> {
                     if !self.allowed(&parsed, ResourceKind::Xhr, Initiator::Script(sid)) {
                         continue;
                     }
+                    let arena = self.arena;
+                    // The response renders for the request's host; copy it
+                    // so the parse can move into the event.
+                    let host = arena.alloc_str(parsed.host_str());
                     let rid = self.next_request_id();
                     self.sink.on_event(CdpEvent::RequestWillBeSent {
                         request_id: rid,
                         url: Cow::Borrowed(full),
+                        parsed_url: Some(Cow::Owned(parsed)),
                         resource_type: ResourceKind::Xhr,
                         initiator: Initiator::Script(sid),
                         frame_id: frame,
@@ -551,8 +578,6 @@ impl<'ar> VisitState<'_, '_, '_, 'ar> {
                         });
                         continue;
                     }
-                    let host = parsed.host_str();
-                    let arena = self.arena;
                     let ctx = &self.ctx;
                     let rendered =
                         arena.build_bytes(|b| ctx.render_received_into(receive, host, b));
@@ -592,6 +617,7 @@ impl<'ar> VisitState<'_, '_, '_, 'ar> {
         self.sink.on_event(CdpEvent::RequestWillBeSent {
             request_id: rid,
             url: Cow::Borrowed(full),
+            parsed_url: Some(Cow::Owned(parsed)),
             resource_type: ResourceKind::Image,
             initiator,
             frame_id: frame,
@@ -635,6 +661,7 @@ impl<'ar> VisitState<'_, '_, '_, 'ar> {
         self.sink.on_event(CdpEvent::RequestWillBeSent {
             request_id: rid,
             url: Cow::Borrowed(url),
+            parsed_url: Some(Cow::Owned(parsed)),
             resource_type: ResourceKind::Document,
             initiator,
             frame_id: frame,
@@ -688,7 +715,7 @@ impl<'ar> VisitState<'_, '_, '_, 'ar> {
             None => FaultDecision::None,
         };
         if decision.is_fault() {
-            self.open_websocket_faulted(url, &parsed, exchanges, initiator, frame, decision);
+            self.open_websocket_faulted(url, parsed, exchanges, initiator, frame, decision);
             return;
         }
         let session = match network::run_session(
@@ -708,6 +735,7 @@ impl<'ar> VisitState<'_, '_, '_, 'ar> {
         self.sink.on_event(CdpEvent::WebSocketCreated {
             request_id: rid,
             url: Cow::Borrowed(url),
+            parsed_url: Some(Cow::Owned(parsed)),
             initiator,
             frame_id: frame,
         });
@@ -745,7 +773,7 @@ impl<'ar> VisitState<'_, '_, '_, 'ar> {
     fn open_websocket_faulted(
         &mut self,
         url: &str,
-        parsed: &Url,
+        parsed: Url,
         exchanges: &[sockscope_webmodel::WsExchange],
         initiator: Initiator,
         frame: FrameId,
@@ -757,7 +785,7 @@ impl<'ar> VisitState<'_, '_, '_, 'ar> {
             .expect("faulted path requires a fault context");
         let cookie = self.jar.header_for(parsed.host_str());
         let outcome = network::run_session_with_faults(
-            parsed,
+            &parsed,
             &origin_of(&self.page_url),
             &self.browser.config.user_agent,
             cookie.as_deref(),
@@ -777,6 +805,7 @@ impl<'ar> VisitState<'_, '_, '_, 'ar> {
         self.sink.on_event(CdpEvent::WebSocketCreated {
             request_id: rid,
             url: Cow::Borrowed(url),
+            parsed_url: Some(Cow::Owned(parsed)),
             initiator,
             frame_id: frame,
         });
@@ -1343,6 +1372,90 @@ mod tests {
             }
         }
         panic!("no LoadingFailed event across 64 seeds at 90% fetch-failure rate");
+    }
+
+    /// Checks that every event creating a tree node carries the browser's
+    /// parse of its URL, equal to a fresh parse; only `#inline-N` script
+    /// URLs carry none. Returns how many events carried one.
+    fn assert_parses_carried(events: &[CdpEventOwned]) -> usize {
+        let mut carried = 0;
+        for ev in events {
+            let (url, parsed_url) = match ev {
+                CdpEvent::ScriptParsed {
+                    url, parsed_url, ..
+                }
+                | CdpEvent::RequestWillBeSent {
+                    url, parsed_url, ..
+                }
+                | CdpEvent::WebSocketCreated {
+                    url, parsed_url, ..
+                } => (url, parsed_url),
+                _ => continue,
+            };
+            if url.contains("#inline-") {
+                assert_eq!(parsed_url, &None, "{url}");
+                continue;
+            }
+            let fresh = Url::parse(url).unwrap_or_else(|e| panic!("{url}: {e:?}"));
+            assert_eq!(parsed_url.as_deref(), Some(&fresh), "{url}");
+            carried += 1;
+        }
+        carried
+    }
+
+    #[test]
+    fn node_creating_events_carry_the_browsers_parse() {
+        let host = figure2_host();
+        let b = stock_browser(&host, BrowserEra::PreChrome58);
+        let v = b.visit("http://pub.example/index.html").unwrap();
+        // Document, 4 × (script request + scriptParsed), image, socket.
+        assert_eq!(assert_parses_carried(&v.events), 11);
+
+        // Every node kind the browser emits, under heavy faults: XHRs
+        // with query strings, frames (static and script-injected),
+        // inline scripts, and sockets that fail part-way.
+        let mut h = figure2_host();
+        let mut page = Page::new("http://mixed.example/", "Mixed");
+        page.scripts = vec![
+            ScriptRef::Remote("http://ads.example/script.js".into()),
+            ScriptRef::Inline(
+                ScriptBehavior::inert()
+                    .then(Action::FetchXhr {
+                        url: "https://Collect.Example/beacon?v=1".into(),
+                        sent: vec![SentItem::UserId, SentItem::Cookie],
+                        receive: vec![ReceivedItem::Json],
+                    })
+                    .then(Action::OpenFrame {
+                        url: "http://pub.example/index.html".into(),
+                    })
+                    .then(Action::OpenWebSocket {
+                        url: "wss://adnet.example/data.ws".into(),
+                        exchanges: vec![],
+                    }),
+            ),
+        ];
+        page.iframes = vec!["http://pub.example/index.html".into()];
+        h.add_page(page);
+        h.accept_all_ws = true;
+        let b = stock_browser(&h, BrowserEra::PreChrome58);
+        let (mut visits, mut sockets) = (0, 0);
+        for seed in 0..32 {
+            let fc = FaultContext {
+                seed,
+                ..fault_ctx(sockscope_faults::FaultProfile::heavy())
+            };
+            for url in ["http://mixed.example/", "http://pub.example/index.html"] {
+                if let Ok(v) = b.visit_with_faults(url, Some(&fc)) {
+                    assert!(assert_parses_carried(&v.events) > 0);
+                    visits += 1;
+                    sockets += v.websocket_count();
+                }
+            }
+        }
+        assert!(
+            visits > 32 && sockets > 32,
+            "{visits} visits, {sockets} sockets"
+        );
     }
 
     #[test]

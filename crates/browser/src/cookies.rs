@@ -7,13 +7,22 @@
 
 use sockscope_urlkit::second_level_domain;
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::HashSet;
+use std::fmt::Write as _;
 
 /// A cookie jar keyed by second-level domain (the granularity the study's
 /// analysis works at; host-only cookies are irrelevant to its questions).
+///
+/// The browser keeps one jar and [`CookieJar::clear`]s it per visit, so the
+/// entries are a flat list whose strings outlive a clear: a visit sets a
+/// handful of cookies, and overwriting a spare entry in place allocates
+/// nothing once the jar has seen a visit as large.
 #[derive(Debug, Clone, Default)]
 pub struct CookieJar {
-    by_domain: HashMap<String, Vec<(String, String)>>,
+    /// `(domain, name, value)` in first-set order; only the first `live`
+    /// are in the jar, the rest are spare buffers.
+    entries: Vec<(String, String, String)>,
+    live: usize,
 }
 
 impl CookieJar {
@@ -22,24 +31,35 @@ impl CookieJar {
         CookieJar::default()
     }
 
+    /// Empties the jar, keeping its buffers for the next visit's cookies.
+    pub fn clear(&mut self) {
+        self.live = 0;
+    }
+
     /// Sets a cookie for the given host's second-level domain. Setting a
     /// cookie the jar already holds, with the same value, allocates
     /// nothing.
     pub fn set(&mut self, host: &str, name: &str, value: &str) {
         let host = lowercase(host);
         let domain = second_level_domain(&host);
-        let list = match self.by_domain.get_mut(domain) {
-            Some(list) => list,
-            None => self.by_domain.entry(domain.to_string()).or_default(),
-        };
-        match list.iter_mut().find(|(n, _)| n == name) {
-            Some((_, old)) if old != value => {
-                old.clear();
-                old.push_str(value);
+        let live = &mut self.entries[..self.live];
+        if let Some((_, _, old)) = live.iter_mut().find(|(d, n, _)| d == domain && n == name) {
+            if old != value {
+                replace(old, value);
             }
-            Some(_) => {}
-            None => list.push((name.to_string(), value.to_string())),
+            return;
         }
+        match self.entries.get_mut(self.live) {
+            Some((d, n, v)) => {
+                replace(d, domain);
+                replace(n, name);
+                replace(v, value);
+            }
+            None => self
+                .entries
+                .push((domain.to_string(), name.to_string(), value.to_string())),
+        }
+        self.live += 1;
     }
 
     /// Renders the `Cookie:` header value for a request to `host`, or `None`
@@ -47,22 +67,31 @@ impl CookieJar {
     pub fn header_for(&self, host: &str) -> Option<String> {
         let host = lowercase(host);
         let domain = second_level_domain(&host);
-        let list = self.by_domain.get(domain)?;
-        if list.is_empty() {
-            return None;
+        let mut cookies = self.entries[..self.live]
+            .iter()
+            .filter(|(d, _, _)| d == domain);
+        let (_, name, value) = cookies.next()?;
+        let mut header = format!("{name}={value}");
+        for (_, name, value) in cookies {
+            let _ = write!(header, "; {name}={value}");
         }
-        Some(
-            list.iter()
-                .map(|(n, v)| format!("{n}={v}"))
-                .collect::<Vec<_>>()
-                .join("; "),
-        )
+        Some(header)
     }
 
     /// Number of domains with cookies.
     pub fn domain_count(&self) -> usize {
-        self.by_domain.len()
+        let domains: HashSet<&str> = self.entries[..self.live]
+            .iter()
+            .map(|(d, _, _)| d.as_str())
+            .collect();
+        domains.len()
     }
+}
+
+/// Overwrites `buf` with `text`, reusing its buffer.
+fn replace(buf: &mut String, text: &str) {
+    buf.clear();
+    buf.push_str(text);
 }
 
 /// `host` in lower case; hosts parsed by `Url` already are, and are
@@ -107,5 +136,52 @@ mod tests {
         jar.set("y.tracker.example", "uid", "1");
         assert_eq!(jar.header_for("Z.TRACKER.example").unwrap(), "uid=1");
         assert_eq!(jar.domain_count(), 1);
+    }
+
+    /// Fills `jar` with the same cookies in the same order, covering an
+    /// overwrite, two cookies on one domain and an upper-case host.
+    fn fill(jar: &mut CookieJar) {
+        jar.set("a.example", "uid", "1");
+        jar.set("X.Tracker.Example", "uid", "42");
+        jar.set("a.example", "uid", "2");
+        jar.set("y.tracker.example", "sid", "abc");
+        jar.set("b.example", "uid", "7");
+    }
+
+    #[test]
+    fn a_cleared_jar_renders_like_a_fresh_one() {
+        let mut fresh = CookieJar::new();
+        fill(&mut fresh);
+
+        let mut reused = CookieJar::new();
+        // A previous visit with more, longer and different cookies.
+        for i in 0..8 {
+            reused.set(&format!("h{i}.tracker.example"), "uid", &"9".repeat(64));
+            reused.set(&format!("site{i}.example"), &format!("n{i}"), "stale");
+        }
+        reused.clear();
+        assert_eq!(reused.domain_count(), 0);
+        for host in ["a.example", "tracker.example", "site0.example"] {
+            assert_eq!(reused.header_for(host), None, "{host}");
+        }
+        fill(&mut reused);
+
+        for host in [
+            "a.example",
+            "WWW.A.EXAMPLE",
+            "z.tracker.example",
+            "b.example",
+            "site0.example",
+            "h0.tracker.example",
+        ] {
+            assert_eq!(reused.header_for(host), fresh.header_for(host), "{host}");
+        }
+        assert_eq!(fresh.header_for("a.example").unwrap(), "uid=2");
+        assert_eq!(
+            fresh.header_for("Z.TRACKER.example").unwrap(),
+            "uid=42; sid=abc"
+        );
+        assert_eq!(reused.domain_count(), fresh.domain_count());
+        assert_eq!(fresh.domain_count(), 3);
     }
 }

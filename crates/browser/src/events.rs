@@ -7,7 +7,14 @@
 //! [`CdpEventOwned`] via [`CdpEvent::into_owned`]. Sinks observe events for
 //! the duration of one `on_event` call only — the PR 5 streaming contract —
 //! which is exactly the lifetime discipline the borrow encodes.
+//!
+//! The events that create inclusion-tree nodes (`ScriptParsed`, the
+//! `RequestWillBeSent` of a fetched resource, `WebSocketCreated`) also
+//! carry the browser's parse of their URL in `parsed_url`, moved into the
+//! event once the browser is done with it, so each request URL is parsed
+//! once per visit.
 
+use sockscope_urlkit::Url;
 use sockscope_wsproto::base64;
 use std::borrow::Cow;
 
@@ -137,6 +144,11 @@ pub enum CdpEvent<'a> {
         /// Script URL; inline scripts get the page URL with a `#inline-N`
         /// suffix, as the paper's tooling did for attribution.
         url: Cow<'a, str>,
+        /// The browser's parse of `url`, handed on so the inclusion tree
+        /// does not parse it again; `None` when the emitter made none
+        /// (inline scripts, hand-built streams), and the consumer parses.
+        /// When present it equals `Url::parse(url)`.
+        parsed_url: Option<Cow<'a, Url>>,
         /// Frame executing the script.
         frame_id: FrameId,
         /// What caused the script to load.
@@ -148,6 +160,11 @@ pub enum CdpEvent<'a> {
         request_id: RequestId,
         /// Request URL.
         url: Cow<'a, str>,
+        /// The browser's parse of `url`, handed on so the inclusion tree
+        /// does not parse it again; `None` when the emitter made none
+        /// (inline scripts, hand-built streams), and the consumer parses.
+        /// When present it equals `Url::parse(url)`.
+        parsed_url: Option<Cow<'a, Url>>,
         /// Resource type.
         resource_type: ResourceKind,
         /// What caused the request.
@@ -178,6 +195,11 @@ pub enum CdpEvent<'a> {
         request_id: RequestId,
         /// `ws://`/`wss://` URL.
         url: Cow<'a, str>,
+        /// The browser's parse of `url`, handed on so the inclusion tree
+        /// does not parse it again; `None` when the emitter made none
+        /// (inline scripts, hand-built streams), and the consumer parses.
+        /// When present it equals `Url::parse(url)`.
+        parsed_url: Option<Cow<'a, Url>>,
         /// The script that called `new WebSocket(...)`.
         initiator: Initiator,
         /// Frame owning the socket.
@@ -283,6 +305,9 @@ impl<'a> CdpEvent<'a> {
         fn own_bytes(c: Cow<'_, [u8]>) -> Cow<'static, [u8]> {
             Cow::Owned(c.into_owned())
         }
+        fn own_url(c: Option<Cow<'_, Url>>) -> Option<Cow<'static, Url>> {
+            c.map(|u| Cow::Owned(u.into_owned()))
+        }
         match self {
             CdpEvent::FrameNavigated {
                 frame_id,
@@ -296,23 +321,27 @@ impl<'a> CdpEvent<'a> {
             CdpEvent::ScriptParsed {
                 script_id,
                 url,
+                parsed_url,
                 frame_id,
                 initiator,
             } => CdpEvent::ScriptParsed {
                 script_id,
                 url: own_str(url),
+                parsed_url: own_url(parsed_url),
                 frame_id,
                 initiator,
             },
             CdpEvent::RequestWillBeSent {
                 request_id,
                 url,
+                parsed_url,
                 resource_type,
                 initiator,
                 frame_id,
             } => CdpEvent::RequestWillBeSent {
                 request_id,
                 url: own_str(url),
+                parsed_url: own_url(parsed_url),
                 resource_type,
                 initiator,
                 frame_id,
@@ -335,11 +364,13 @@ impl<'a> CdpEvent<'a> {
             CdpEvent::WebSocketCreated {
                 request_id,
                 url,
+                parsed_url,
                 initiator,
                 frame_id,
             } => CdpEvent::WebSocketCreated {
                 request_id,
                 url: own_str(url),
+                parsed_url: own_url(parsed_url),
                 initiator,
                 frame_id,
             },

@@ -228,19 +228,19 @@ fn drive_site(
                         *site_faults.errors.entry((*kind).to_string()).or_insert(0) += 1;
                     }
                     visited.push(url.to_string());
-                    for link in &v.links {
+                    for link in v.links {
                         // Unseen, same-site links only. The membership
                         // checks come first: they are cheaper than a parse
                         // and most links repeat ones already queued.
-                        if visited.contains(link) || frontier.contains(link) {
+                        if visited.contains(&link) || frontier.contains(&link) {
                             continue;
                         }
-                        let same_site = sockscope_urlkit::Url::parse(link)
+                        let same_site = sockscope_urlkit::Url::parse(&link)
                             .ok()
                             .and_then(|u| u.second_level_domain().map(|d| d == site_domain))
                             .unwrap_or(false);
                         if same_site {
-                            frontier.push(link.clone());
+                            frontier.push(link);
                         }
                     }
                     *pages += 1;
@@ -545,7 +545,7 @@ impl VisitSink for RecordSink {
         self.builder
             .as_mut()
             .expect("events only between page_begin and page_end")
-            .push(&event);
+            .push(event);
     }
 }
 
@@ -565,7 +565,7 @@ impl SiteSink for RecordSink {
     }
 
     fn page_end(&mut self) {
-        let tree = self.builder.take().expect("page_end after page_begin");
+        let mut tree = self.builder.take().expect("page_end after page_begin");
         self.current
             .as_mut()
             .expect("page inside site")

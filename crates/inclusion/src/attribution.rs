@@ -92,18 +92,21 @@ mod tests {
             ScriptParsed {
                 script_id: ScriptId(1),
                 url: "http://cdn.pub.example/app.js".into(),
+                parsed_url: None,
                 frame_id: FrameId(0),
                 initiator: Initiator::Parser(FrameId(0)),
             },
             ScriptParsed {
                 script_id: ScriptId(2),
                 url: "http://static.webspectator.example/ws.js".into(),
+                parsed_url: None,
                 frame_id: FrameId(0),
                 initiator: Initiator::Script(ScriptId(1)),
             },
             WebSocketCreated {
                 request_id: RequestId(1),
                 url: "wss://rt.realtime.example/stream".into(),
+                parsed_url: None,
                 initiator: Initiator::Script(ScriptId(2)),
                 frame_id: FrameId(0),
             },
@@ -152,12 +155,14 @@ mod tests {
             ScriptParsed {
                 script_id: ScriptId(1),
                 url: "http://pub.example/#inline-0".into(),
+                parsed_url: None,
                 frame_id: FrameId(0),
                 initiator: Initiator::Parser(FrameId(0)),
             },
             WebSocketCreated {
                 request_id: RequestId(1),
                 url: "wss://chat.intercom.example/ws".into(),
+                parsed_url: None,
                 initiator: Initiator::Script(ScriptId(1)),
                 frame_id: FrameId(0),
             },
@@ -179,12 +184,14 @@ mod tests {
             ScriptParsed {
                 script_id: ScriptId(1),
                 url: "http://pub.example/a.js".into(),
+                parsed_url: None,
                 frame_id: FrameId(0),
                 initiator: Initiator::Parser(FrameId(0)),
             },
             WebSocketCreated {
                 request_id: RequestId(1),
                 url: "ws://ws.pub.example/live".into(),
+                parsed_url: None,
                 initiator: Initiator::Script(ScriptId(1)),
                 frame_id: FrameId(0),
             },
@@ -201,6 +208,7 @@ mod tests {
         let events = vec![WebSocketCreated {
             request_id: RequestId(1),
             url: "wss://d10lpsik1i8c69.cloudfront.net/collect".into(),
+            parsed_url: None,
             initiator: Initiator::Parser(FrameId(0)),
             frame_id: FrameId(0),
         }];

@@ -125,12 +125,14 @@ mod tests {
             ScriptParsed {
                 script_id: ScriptId(1),
                 url: "http://listed-tracker.example/t.js".into(),
+                parsed_url: None,
                 frame_id: FrameId(0),
                 initiator: Initiator::Parser(FrameId(0)),
             },
             WebSocketCreated {
                 request_id: RequestId(1),
                 url: "wss://listed-tracker.example/ws".into(),
+                parsed_url: None,
                 initiator: Initiator::Script(ScriptId(1)),
                 frame_id: FrameId(0),
             },
@@ -138,12 +140,14 @@ mod tests {
             ScriptParsed {
                 script_id: ScriptId(2),
                 url: "http://innocuous.example/w.js".into(),
+                parsed_url: None,
                 frame_id: FrameId(0),
                 initiator: Initiator::Parser(FrameId(0)),
             },
             WebSocketCreated {
                 request_id: RequestId(2),
                 url: "wss://sneaky-ads.example/ws".into(),
+                parsed_url: None,
                 initiator: Initiator::Script(ScriptId(2)),
                 frame_id: FrameId(0),
             },
@@ -151,6 +155,7 @@ mod tests {
             RequestWillBeSent {
                 request_id: RequestId(3),
                 url: "http://listed-tracker.example/pixel.gif".into(),
+                parsed_url: None,
                 resource_type: sockscope_browser::ResourceKind::Image,
                 initiator: Initiator::Script(ScriptId(1)),
                 frame_id: FrameId(0),

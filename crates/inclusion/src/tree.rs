@@ -11,6 +11,7 @@ use sockscope_browser::{
     CdpEvent, FrameId, FramePayload, Initiator, RequestId, ResourceKind, ScriptId, VisitSink,
 };
 use sockscope_urlkit::Url;
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Index of a node within its tree.
@@ -78,9 +79,9 @@ impl PayloadRecord {
     }
 }
 
-fn record(p: &FramePayload) -> PayloadRecord {
+fn record(p: FramePayload) -> PayloadRecord {
     match p {
-        FramePayload::Text(s) => PayloadRecord::Text(s.as_ref().to_owned()),
+        FramePayload::Text(s) => PayloadRecord::Text(s.into_owned()),
         FramePayload::Base64(_) => PayloadRecord::Binary(p.to_bytes().into_owned()),
     }
 }
@@ -133,8 +134,11 @@ pub struct Node {
 /// An inclusion tree for one page visit.
 ///
 /// Alongside its nodes the tree carries each node's parsed URL, so every
-/// consumer (the reducer, blocking, attribution) reads one parse made by
-/// the builder instead of re-parsing the URL text. Invariant:
+/// consumer (the reducer, blocking, attribution) reads one parse instead
+/// of re-parsing the URL text. That parse is the browser's, moved in with
+/// the event that created the node (`parsed_url`); the builder parses only
+/// what arrives without one: the page root, inline-script URLs,
+/// extension-blocked requests and hand-built streams. Invariant:
 /// `urls[i] == Url::parse(&nodes[i].url).ok()`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InclusionTree {
@@ -182,7 +186,7 @@ impl InclusionTree {
     pub fn build(page_url: &str, events: &[CdpEvent]) -> InclusionTree {
         let mut b = TreeBuilder::new(page_url);
         for ev in events {
-            b.push(ev);
+            b.push(ev.clone());
         }
         b.finish()
     }
@@ -320,9 +324,15 @@ impl InclusionTree {
 /// identical to a batch build over the same events — the batch entry point
 /// is implemented on top of this type.
 ///
-/// Each node's URL is parsed exactly once, here: the parse supplies the
-/// node's `host` and travels with the finished tree (see
-/// [`InclusionTree::url`]), so no consumer parses a node URL again.
+/// Each node's URL is parsed once per visit: a node-creating event hands
+/// over the browser's parse in its `parsed_url`, and the builder parses
+/// only a URL that arrives without one. The parse supplies the node's
+/// `host` and travels with the finished tree (see [`InclusionTree::url`]),
+/// so no consumer parses a node URL again.
+///
+/// A builder serves any number of pages: [`TreeBuilder::reset`] starts the
+/// next page and [`TreeBuilder::recycle`] takes back a spent tree's node
+/// vectors, so a long crawl reuses one set of buffers.
 pub struct TreeBuilder {
     page_url: String,
     nodes: Vec<Node>,
@@ -341,7 +351,7 @@ impl TreeBuilder {
     /// frame 0) is created eagerly so degenerate streams still work.
     pub fn new(page_url: &str) -> TreeBuilder {
         let mut b = TreeBuilder {
-            page_url: page_url.to_string(),
+            page_url: String::new(),
             nodes: Vec::new(),
             by_script: HashMap::new(),
             by_frame: HashMap::new(),
@@ -349,27 +359,61 @@ impl TreeBuilder {
             pending_docs: HashMap::new(),
             urls: Vec::new(),
         };
-        let root = b.push_node(page_url, NodeKind::Page, None);
-        b.by_frame.insert(FrameId(0), root);
+        b.reset(page_url);
         b
     }
 
-    /// Consumes the builder, yielding the finished tree.
-    pub fn finish(self) -> InclusionTree {
+    /// Starts the tree of the next page visit, exactly as
+    /// [`TreeBuilder::new`] would, but keeping every buffer. Whatever the
+    /// builder held — a finished page, or one torn mid-stream — is
+    /// discarded.
+    pub fn reset(&mut self, page_url: &str) {
+        self.page_url.clear();
+        self.page_url.push_str(page_url);
+        self.nodes.clear();
+        self.urls.clear();
+        self.by_script.clear();
+        self.by_frame.clear();
+        self.by_request.clear();
+        self.pending_docs.clear();
+        let root = self.push_node(Cow::Borrowed(page_url), None, NodeKind::Page, None);
+        self.by_frame.insert(FrameId(0), root);
+    }
+
+    /// Takes the finished tree out of the builder, which is left empty:
+    /// [`TreeBuilder::reset`] it before the next page.
+    pub fn finish(&mut self) -> InclusionTree {
         InclusionTree {
-            page_url: self.page_url,
-            nodes: self.nodes,
-            urls: self.urls,
+            page_url: std::mem::take(&mut self.page_url),
+            nodes: std::mem::take(&mut self.nodes),
+            urls: std::mem::take(&mut self.urls),
         }
     }
 
-    /// Number of nodes built so far (≥ 1: the root always exists).
+    /// Takes back the buffers of a tree this builder finished and its
+    /// consumer is done with, for the next [`TreeBuilder::reset`] to fill.
+    /// Call it between `finish` and `reset`.
+    pub fn recycle(&mut self, spent: InclusionTree) {
+        let InclusionTree {
+            page_url,
+            mut nodes,
+            mut urls,
+        } = spent;
+        nodes.clear();
+        urls.clear();
+        self.page_url = page_url;
+        self.nodes = nodes;
+        self.urls = urls;
+    }
+
+    /// Number of nodes built so far (≥ 1 until `finish`: the root always
+    /// exists).
     pub fn len(&self) -> usize {
         self.nodes.len()
     }
 
     /// `true` when only the root exists. Named for clippy symmetry with
-    /// [`TreeBuilder::len`]; a builder is never zero-node.
+    /// [`TreeBuilder::len`]; a page's builder is never zero-node.
     pub fn is_empty(&self) -> bool {
         self.nodes.len() <= 1
     }
@@ -386,17 +430,34 @@ impl TreeBuilder {
         &self.nodes[id.0]
     }
 
-    /// Appends a node, parsing its URL — the tree's one parse of it.
-    fn push_node(&mut self, url: &str, kind: NodeKind, parent: Option<NodeId>) -> NodeId {
+    /// Appends a node with its URL's parse: `carried` when the event
+    /// brought one, else the builder's own.
+    fn push_node(
+        &mut self,
+        url: Cow<'_, str>,
+        carried: Option<Cow<'_, Url>>,
+        kind: NodeKind,
+        parent: Option<NodeId>,
+    ) -> NodeId {
         let id = NodeId(self.nodes.len());
-        let parsed = Url::parse(url).ok();
+        let parsed = match carried {
+            Some(parsed) => {
+                debug_assert_eq!(
+                    Url::parse(&url).ok().as_ref(),
+                    Some(parsed.as_ref()),
+                    "carried parse differs from a fresh parse of {url:?}"
+                );
+                Some(parsed.into_owned())
+            }
+            None => Url::parse(&url).ok(),
+        };
         let host = parsed.as_ref().map_or("", Url::host_str).to_string();
         if let Some(p) = parent {
             self.nodes[p.0].children.push(id);
         }
         self.nodes.push(Node {
             id,
-            url: url.to_string(),
+            url: url.into_owned(),
             host,
             kind,
             parent,
@@ -416,8 +477,9 @@ impl TreeBuilder {
         }
     }
 
-    /// Applies one CDP event to the tree under construction.
-    pub fn push(&mut self, ev: &CdpEvent) {
+    /// Applies one CDP event to the tree under construction, taking its
+    /// URL text and parse into the node it creates.
+    pub fn push(&mut self, ev: CdpEvent<'_>) {
         let root = NodeId(0);
         match ev {
             CdpEvent::FrameNavigated {
@@ -425,7 +487,7 @@ impl TreeBuilder {
                 parent_frame_id,
                 url,
             } => {
-                if *frame_id == FrameId(0) {
+                if frame_id == FrameId(0) {
                     return; // root created eagerly
                 }
                 // Prefer the Frame node created from the document request
@@ -433,28 +495,30 @@ impl TreeBuilder {
                 // injected iframes); fall back to frame-parent provenance
                 // for streams without document requests.
                 if let Some(id) = self.pending_docs.remove(url.as_ref()) {
-                    self.by_frame.insert(*frame_id, id);
+                    self.by_frame.insert(frame_id, id);
                     return;
                 }
                 let parent = parent_frame_id
                     .and_then(|p| self.by_frame.get(&p).copied())
                     .unwrap_or(root);
-                let id = self.push_node(url, NodeKind::Frame, Some(parent));
-                self.by_frame.insert(*frame_id, id);
+                let id = self.push_node(url, None, NodeKind::Frame, Some(parent));
+                self.by_frame.insert(frame_id, id);
             }
             CdpEvent::ScriptParsed {
                 script_id,
                 url,
+                parsed_url,
                 initiator,
                 ..
             } => {
-                let parent = self.parent_of(*initiator, root);
-                let id = self.push_node(url, NodeKind::Script, Some(parent));
-                self.by_script.insert(*script_id, id);
+                let parent = self.parent_of(initiator, root);
+                let id = self.push_node(url, parsed_url, NodeKind::Script, Some(parent));
+                self.by_script.insert(script_id, id);
             }
             CdpEvent::RequestWillBeSent {
                 request_id,
                 url,
+                parsed_url,
                 resource_type,
                 initiator,
                 frame_id,
@@ -466,22 +530,23 @@ impl TreeBuilder {
                         // Subframe documents become Frame nodes hung under
                         // their true initiator; the main document (frame 0)
                         // is the root itself.
-                        if *frame_id == FrameId(0) {
+                        if frame_id == FrameId(0) {
                             return;
                         }
-                        let parent = self.parent_of(*initiator, root);
-                        let id = self.push_node(url, NodeKind::Frame, Some(parent));
-                        self.pending_docs.insert(url.as_ref().to_owned(), id);
-                        self.by_request.insert(*request_id, id);
+                        let parent = self.parent_of(initiator, root);
+                        let key = url.as_ref().to_owned();
+                        let id = self.push_node(url, parsed_url, NodeKind::Frame, Some(parent));
+                        self.pending_docs.insert(key, id);
+                        self.by_request.insert(request_id, id);
                         return;
                     }
                     // Script requests become Script nodes via scriptParsed;
                     // WebSocket handshakes via webSocketCreated.
                     ResourceKind::Script | ResourceKind::WebSocket => return,
                 };
-                let parent = self.parent_of(*initiator, root);
-                let id = self.push_node(url, kind, Some(parent));
-                self.by_request.insert(*request_id, id);
+                let parent = self.parent_of(initiator, root);
+                let id = self.push_node(url, parsed_url, kind, Some(parent));
+                self.by_request.insert(request_id, id);
             }
             CdpEvent::ResponseReceived {
                 request_id,
@@ -489,42 +554,43 @@ impl TreeBuilder {
                 sent_ground_truth,
                 ..
             } => {
-                if let Some(&id) = self.by_request.get(request_id) {
-                    self.nodes[id.0].http_body = Some(body.to_vec());
-                    self.nodes[id.0].http_sent_ground_truth = sent_ground_truth.to_vec();
+                if let Some(&id) = self.by_request.get(&request_id) {
+                    self.nodes[id.0].http_body = Some(body.into_owned());
+                    self.nodes[id.0].http_sent_ground_truth = sent_ground_truth.into_owned();
                 }
             }
             CdpEvent::WebSocketCreated {
                 request_id,
                 url,
+                parsed_url,
                 initiator,
                 ..
             } => {
-                let parent = self.parent_of(*initiator, root);
-                let id = self.push_node(url, NodeKind::WebSocket, Some(parent));
+                let parent = self.parent_of(initiator, root);
+                let id = self.push_node(url, parsed_url, NodeKind::WebSocket, Some(parent));
                 self.nodes[id.0].ws = Some(WsTranscript::default());
-                self.by_request.insert(*request_id, id);
+                self.by_request.insert(request_id, id);
             }
             CdpEvent::WebSocketWillSendHandshakeRequest {
                 request_id,
                 request,
             } => {
-                if let Some(ws) = self.ws_mut(request_id) {
-                    ws.handshake_request = String::from_utf8_lossy(request).to_string();
+                if let Some(ws) = self.ws_mut(&request_id) {
+                    ws.handshake_request = String::from_utf8_lossy(&request).into_owned();
                 }
             }
             CdpEvent::WebSocketHandshakeResponseReceived {
                 request_id, status, ..
             } => {
-                if let Some(ws) = self.ws_mut(request_id) {
-                    ws.status = *status;
+                if let Some(ws) = self.ws_mut(&request_id) {
+                    ws.status = status;
                 }
             }
             CdpEvent::WebSocketFrameSent {
                 request_id,
                 payload,
             } => {
-                if let Some(ws) = self.ws_mut(request_id) {
+                if let Some(ws) = self.ws_mut(&request_id) {
                     ws.sent.push(record(payload));
                 }
             }
@@ -532,7 +598,7 @@ impl TreeBuilder {
                 request_id,
                 payload,
             } => {
-                if let Some(ws) = self.ws_mut(request_id) {
+                if let Some(ws) = self.ws_mut(&request_id) {
                     ws.received.push(record(payload));
                 }
             }
@@ -540,12 +606,12 @@ impl TreeBuilder {
                 request_id,
                 error_text,
             } => {
-                if let Some(ws) = self.ws_mut(request_id) {
-                    ws.error = Some(error_text.as_ref().to_owned());
+                if let Some(ws) = self.ws_mut(&request_id) {
+                    ws.error = Some(error_text.into_owned());
                 }
             }
             CdpEvent::WebSocketClosed { request_id } => {
-                if let Some(ws) = self.ws_mut(request_id) {
+                if let Some(ws) = self.ws_mut(&request_id) {
                     ws.closed = true;
                 }
             }
@@ -555,8 +621,8 @@ impl TreeBuilder {
                 // "no response observed" state content analysis expects.
             }
             CdpEvent::RequestBlockedByExtension { url, initiator, .. } => {
-                let parent = self.parent_of(*initiator, root);
-                self.push_node(url, NodeKind::Blocked, Some(parent));
+                let parent = self.parent_of(initiator, root);
+                self.push_node(url, None, NodeKind::Blocked, Some(parent));
             }
         }
     }
@@ -569,7 +635,7 @@ impl TreeBuilder {
 
 impl VisitSink for TreeBuilder {
     fn on_event(&mut self, event: CdpEvent) {
-        self.push(&event);
+        self.push(event);
     }
 }
 
@@ -589,12 +655,14 @@ mod tests {
             ScriptParsed {
                 script_id: ScriptId(1),
                 url: "http://pub.example/script.js".into(),
+                parsed_url: None,
                 frame_id: FrameId(0),
                 initiator: Initiator::Parser(FrameId(0)),
             },
             ScriptParsed {
                 script_id: ScriptId(2),
                 url: "http://ads.example/script.js".into(),
+                parsed_url: None,
                 frame_id: FrameId(0),
                 initiator: Initiator::Parser(FrameId(0)),
             },
@@ -602,12 +670,14 @@ mod tests {
             ScriptParsed {
                 script_id: ScriptId(3),
                 url: "http://ads.example/script2.js".into(),
+                parsed_url: None,
                 frame_id: FrameId(0),
                 initiator: Initiator::Script(ScriptId(2)),
             },
             RequestWillBeSent {
                 request_id: RequestId(1),
                 url: "http://ads.example/image.img".into(),
+                parsed_url: None,
                 resource_type: ResourceKind::Image,
                 initiator: Initiator::Script(ScriptId(2)),
                 frame_id: FrameId(0),
@@ -616,6 +686,7 @@ mod tests {
             WebSocketCreated {
                 request_id: RequestId(2),
                 url: "ws://adnet.example/data.ws".into(),
+                parsed_url: None,
                 initiator: Initiator::Script(ScriptId(3)),
                 frame_id: FrameId(0),
             },
@@ -633,6 +704,7 @@ mod tests {
             ScriptParsed {
                 script_id: ScriptId(4),
                 url: "http://tracker.example/script.js".into(),
+                parsed_url: None,
                 frame_id: FrameId(0),
                 initiator: Initiator::Parser(FrameId(0)),
             },
@@ -698,6 +770,7 @@ mod tests {
         let events = vec![CdpEvent::WebSocketCreated {
             request_id: RequestId(9),
             url: "ws://x.example/s".into(),
+            parsed_url: None,
             initiator: Initiator::Script(ScriptId(999)),
             frame_id: FrameId(0),
         }];
@@ -719,6 +792,7 @@ mod tests {
             ScriptParsed {
                 script_id: ScriptId(1),
                 url: "http://embed.example/w.js".into(),
+                parsed_url: None,
                 frame_id: FrameId(1),
                 initiator: Initiator::Parser(FrameId(1)),
             },
@@ -761,6 +835,7 @@ mod tests {
             WebSocketCreated {
                 request_id: RequestId(4),
                 url: "ws://adnet.example/s".into(),
+                parsed_url: None,
                 initiator: Initiator::Parser(FrameId(0)),
                 frame_id: FrameId(0),
             },
@@ -788,6 +863,7 @@ mod tests {
             RequestWillBeSent {
                 request_id: RequestId(1),
                 url: "http://cdn.example/pixel.img".into(),
+                parsed_url: None,
                 resource_type: ResourceKind::Image,
                 initiator: Initiator::Parser(FrameId(0)),
                 frame_id: FrameId(0),
@@ -831,6 +907,7 @@ mod tests {
             CdpEvent::RequestWillBeSent {
                 request_id: RequestId(1),
                 url: "data:image/gif;base64,R0lG".into(),
+                parsed_url: None,
                 resource_type: ResourceKind::Image,
                 initiator: Initiator::Parser(FrameId(0)),
                 frame_id: FrameId(0),
@@ -838,6 +915,7 @@ mod tests {
             CdpEvent::WebSocketCreated {
                 request_id: RequestId(2),
                 url: "WSS://Chat.Example/live".into(),
+                parsed_url: None,
                 initiator: Initiator::Parser(FrameId(0)),
                 frame_id: FrameId(0),
             },

@@ -36,7 +36,7 @@ impl Payload {
 }
 
 /// Per-visit concrete values used when rendering payload items.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ValueContext {
     /// Browser User-Agent string.
     pub user_agent: String,
@@ -72,6 +72,16 @@ impl ValueContext {
     /// Builds a fully deterministic context from a seed. Two equal seeds
     /// yield identical wire bytes, which the reproducibility tests rely on.
     pub fn deterministic(seed: u64) -> ValueContext {
+        let mut ctx = ValueContext::default();
+        ctx.reseed(seed);
+        ctx
+    }
+
+    /// Rewrites every field in place to exactly what
+    /// [`ValueContext::deterministic`]`(seed)` holds, `dom_html` emptied,
+    /// keeping the strings' buffers: the browser reseeds one context per
+    /// visit instead of building a new one.
+    pub fn reseed(&mut self, seed: u64) {
         let mut x = seed | 1;
         let mut next = move || {
             x ^= x >> 12;
@@ -79,6 +89,11 @@ impl ValueContext {
             x ^= x >> 27;
             x.wrapping_mul(0x2545F4914F6CDD1D)
         };
+        fn set(field: &mut String, args: std::fmt::Arguments<'_>) {
+            field.clear();
+            let _ = field.write_fmt(args);
+        }
+        // The draws below run in a fixed order; every value depends on it.
         let chrome_major = 50 + (next() % 10);
         let screens = [
             (1920u32, 1080u32),
@@ -89,7 +104,7 @@ impl ValueContext {
         ];
         let screen = screens[(next() % screens.len() as u64) as usize];
         let langs = ["en-US", "en-GB", "de-DE", "fr-FR", "pt-BR", "ja-JP"];
-        let language = langs[(next() % langs.len() as u64) as usize].to_string();
+        let language = langs[(next() % langs.len() as u64) as usize];
         let devices = [
             "Desktop/Mac",
             "Desktop/Windows",
@@ -97,35 +112,53 @@ impl ValueContext {
             "Mobile/Android",
             "Mobile/iOS",
         ];
-        let device = devices[(next() % devices.len() as u64) as usize].to_string();
+        let device = devices[(next() % devices.len() as u64) as usize];
         let uid = next();
-        let ip = format!(
-            "{}.{}.{}.{}",
+        let (a, b, c, d) = (
             10 + next() % 200,
             next() % 256,
             next() % 256,
-            1 + next() % 254
+            1 + next() % 254,
         );
         let day = 1 + next() % 28;
         let month = 1 + next() % 12;
-        ValueContext {
-            user_agent: format!(
+        let (ga_client, ga_time) = (next() % 1_000_000_000, next() % 2_000_000_000);
+        let user_id = next() & 0xFFFF_FFFF_FFFF;
+        let scroll = (next() % 4000) as u32;
+
+        set(
+            &mut self.user_agent,
+            format_args!(
                 "Mozilla/5.0 (X11; Linux x86_64) AppleWebKit/537.36 (KHTML, like Gecko) Chrome/{chrome_major}.0.3029.110 Safari/537.36"
             ),
-            cookie: format!("uid={uid:016x}; _ga=GA1.2.{}.{}", next() % 1_000_000_000, next() % 2_000_000_000),
-            ip,
-            user_id: format!("client_{:012x}", next() & 0xFFFF_FFFF_FFFF),
-            device,
-            screen,
-            browser: format!("Chrome/Blink {chrome_major}"),
-            viewport: (screen.0 - 40, screen.1.saturating_sub(120)),
-            scroll: (next() % 4000) as u32,
-            orientation: if screen.0 >= screen.1 { "landscape" } else { "portrait" }.to_string(),
-            first_seen: format!("2016-{month:02}-{day:02}T12:00:00Z"),
-            resolution: screen,
-            language,
-            dom_html: String::new(),
-        }
+        );
+        set(
+            &mut self.cookie,
+            format_args!("uid={uid:016x}; _ga=GA1.2.{ga_client}.{ga_time}"),
+        );
+        set(&mut self.ip, format_args!("{a}.{b}.{c}.{d}"));
+        set(&mut self.user_id, format_args!("client_{user_id:012x}"));
+        set(&mut self.device, format_args!("{device}"));
+        self.screen = screen;
+        set(
+            &mut self.browser,
+            format_args!("Chrome/Blink {chrome_major}"),
+        );
+        self.viewport = (screen.0 - 40, screen.1.saturating_sub(120));
+        self.scroll = scroll;
+        let orientation = if screen.0 >= screen.1 {
+            "landscape"
+        } else {
+            "portrait"
+        };
+        set(&mut self.orientation, format_args!("{orientation}"));
+        set(
+            &mut self.first_seen,
+            format_args!("2016-{month:02}-{day:02}T12:00:00Z"),
+        );
+        self.resolution = screen;
+        set(&mut self.language, format_args!("{language}"));
+        self.dom_html.clear();
     }
 
     /// Renders the given sent-items as one message payload.
@@ -344,6 +377,50 @@ mod tests {
         let c = ValueContext::deterministic(100);
         assert_eq!(a, b);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn reseeding_a_dirty_context_equals_a_fresh_one() {
+        let mut ctx = ValueContext::deterministic(u64::MAX);
+        for seed in 0..10_000u64 {
+            // Leave every string longer than any derivation writes, and a
+            // page DOM from the previous visit.
+            for field in [
+                &mut ctx.user_agent,
+                &mut ctx.cookie,
+                &mut ctx.ip,
+                &mut ctx.user_id,
+                &mut ctx.device,
+                &mut ctx.browser,
+                &mut ctx.orientation,
+                &mut ctx.first_seen,
+                &mut ctx.language,
+                &mut ctx.dom_html,
+            ] {
+                field.push_str(&"stale".repeat(40));
+            }
+            ctx.screen = (1, 2);
+            ctx.viewport = (3, 4);
+            ctx.scroll = 5;
+            ctx.resolution = (6, 7);
+            ctx.reseed(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let fresh = ValueContext::deterministic(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            assert_eq!(ctx.user_agent, fresh.user_agent, "seed {seed}");
+            assert_eq!(ctx.cookie, fresh.cookie, "seed {seed}");
+            assert_eq!(ctx.ip, fresh.ip, "seed {seed}");
+            assert_eq!(ctx.user_id, fresh.user_id, "seed {seed}");
+            assert_eq!(ctx.device, fresh.device, "seed {seed}");
+            assert_eq!(ctx.screen, fresh.screen, "seed {seed}");
+            assert_eq!(ctx.browser, fresh.browser, "seed {seed}");
+            assert_eq!(ctx.viewport, fresh.viewport, "seed {seed}");
+            assert_eq!(ctx.scroll, fresh.scroll, "seed {seed}");
+            assert_eq!(ctx.orientation, fresh.orientation, "seed {seed}");
+            assert_eq!(ctx.first_seen, fresh.first_seen, "seed {seed}");
+            assert_eq!(ctx.resolution, fresh.resolution, "seed {seed}");
+            assert_eq!(ctx.language, fresh.language, "seed {seed}");
+            assert_eq!(ctx.dom_html, "", "seed {seed}");
+            assert_eq!(ctx, fresh, "seed {seed}");
+        }
     }
 
     #[test]

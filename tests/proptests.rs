@@ -378,6 +378,7 @@ fn random_events() -> impl Strategy<Value = Vec<CdpEvent<'static>>> {
         0 => CdpEvent::ScriptParsed {
             script_id: ScriptId(a),
             url: format!("http://s{a}.example/x.js").into(),
+            parsed_url: None,
             frame_id: FrameId(0),
             initiator: if b % 2 == 0 {
                 Initiator::Parser(FrameId(b % 3))
@@ -388,6 +389,7 @@ fn random_events() -> impl Strategy<Value = Vec<CdpEvent<'static>>> {
         1 => CdpEvent::RequestWillBeSent {
             request_id: RequestId(a),
             url: format!("http://r{a}.example/p.gif").into(),
+            parsed_url: None,
             resource_type: ResourceKind::Image,
             initiator: Initiator::Script(ScriptId(b)),
             frame_id: FrameId(0),
@@ -395,6 +397,7 @@ fn random_events() -> impl Strategy<Value = Vec<CdpEvent<'static>>> {
         2 => CdpEvent::WebSocketCreated {
             request_id: RequestId(100 + a),
             url: format!("wss://w{a}.example/ws").into(),
+            parsed_url: None,
             initiator: Initiator::Script(ScriptId(b)),
             frame_id: FrameId(0),
         },
@@ -489,10 +492,31 @@ fn random_events_with_odd_urls() -> impl Strategy<Value = (String, Vec<CdpEvent<
         })
 }
 
+/// `event` with the parse of its URL attached, if it is a node-creating
+/// event whose URL parses: what the browser hands the tree builder.
+fn carry_parse(mut event: CdpEvent<'static>) -> CdpEvent<'static> {
+    if let CdpEvent::ScriptParsed {
+        url, parsed_url, ..
+    }
+    | CdpEvent::RequestWillBeSent {
+        url, parsed_url, ..
+    }
+    | CdpEvent::WebSocketCreated {
+        url, parsed_url, ..
+    } = &mut event
+    {
+        *parsed_url = sockscope::urlkit::Url::parse(url)
+            .ok()
+            .map(std::borrow::Cow::Owned);
+    }
+    event
+}
+
 proptest! {
-    /// Every tree — built in batch, built incrementally, or reloaded from
-    /// its JSON — carries exactly a fresh parse of each node's URL, and
-    /// its JSON is byte for byte the derived serialization of its fields.
+    /// Every tree — built in batch, built incrementally with or without
+    /// the browser's parses, by a recycled builder, or reloaded from its
+    /// JSON — carries exactly a fresh parse of each node's URL, and its
+    /// JSON is byte for byte the derived serialization of its fields.
     #[test]
     fn trees_carry_the_parse_of_each_node_url(stream in random_events_with_odd_urls()) {
         use sockscope::browser::VisitSink;
@@ -506,13 +530,28 @@ proptest! {
             builder.on_event(event.clone());
         }
         let incremental = builder.finish();
+        // The same stream carrying each URL's parse, as the browser's
+        // events do, into a builder recycled from another page.
+        let mut reused = TreeBuilder::new("http://other.example/");
+        for event in &events {
+            reused.push(event.clone());
+        }
+        let spent = reused.finish();
+        reused.recycle(spent);
+        reused.reset(&page);
+        for event in &events {
+            reused.push(carry_parse(event.clone()));
+        }
+        let carried = reused.finish();
         let json = serde_json::to_string(&batch).unwrap();
         let reloaded: InclusionTree = serde_json::from_str(&json).unwrap();
-        for tree in [&batch, &incremental, &reloaded] {
+        for tree in [&batch, &incremental, &carried, &reloaded] {
             for node in tree.nodes() {
                 prop_assert_eq!(tree.url(node.id), Url::parse(&node.url).ok().as_ref());
             }
+            prop_assert!(tree.check_invariants().is_ok());
         }
+        prop_assert_eq!(&carried, &batch);
         prop_assert_eq!(&reloaded, &batch);
         let derived = DerivedTreeJson {
             page_url: batch.page_url.clone(),
@@ -694,7 +733,7 @@ use sockscope::webmodel::{
 
 /// A small fixed web with enough variety (scripts, an image fetch, a
 /// WebSocket with traffic) to exercise every arena-backed buffer a visit
-/// allocates.
+/// allocates, and every piece of per-visit state the browser recycles.
 fn arena_web() -> StaticHost {
     let mut h = StaticHost::new();
     let mut home = Page::new("http://site.example/index.html", "Site");
@@ -722,13 +761,28 @@ fn arena_web() -> StaticHost {
                 }],
             }),
     );
+    // Opens the beacon's socket without fetching the beacon's script, so
+    // its handshake carries a `Cookie:` header only if the cookie jar
+    // kept what an earlier visit to the home page set.
+    let mut live = Page::new("http://site.example/live.html", "Live");
+    live.scripts = vec![ScriptRef::Inline(ScriptBehavior::inert().then(
+        Action::OpenWebSocket {
+            url: "ws://beacon.example/feed.ws".into(),
+            exchanges: vec![WsExchange {
+                send: vec![SentItem::Cookie],
+                receive: vec![],
+            }],
+        },
+    ))];
+    h.add_page(live);
     h.add_ws_server("ws://beacon.example/feed.ws", WsServerProfile::accepting());
     h
 }
 
-const ARENA_PAGES: [&str; 2] = [
+const ARENA_PAGES: [&str; 3] = [
     "http://site.example/index.html",
     "http://site.example/about.html",
+    "http://site.example/live.html",
 ];
 
 /// A sink that unwinds partway through a visit, the way a supervision
@@ -753,11 +807,13 @@ proptest! {
     /// stable high-water capacity — replaying the same interleaving
     /// allocates no new chunks — and (b) never perturbs visit output:
     /// after any history, a visit produces events byte-identical to a
-    /// fresh browser's, because the reset arena is indistinguishable
-    /// from a new one.
+    /// fresh browser's, because the reset arena, reseeded value context
+    /// and cleared cookie jar are indistinguishable from new ones. The
+    /// unwinds land anywhere up to the end of a visit, before or after
+    /// its cookie is set and its socket's handshake is sent.
     #[test]
     fn visit_arena_reset_and_reuse_is_invisible(
-        ops in proptest::collection::vec((0u8..3, 0usize..6), 1..16),
+        ops in proptest::collection::vec((0u8..3, 0usize..24), 1..16),
         seed in any::<u64>(),
     ) {
         let web = arena_web();
@@ -780,12 +836,15 @@ proptest! {
             .collect();
 
         let browser = make();
+        // Returns each completed visit's page index and event stream.
         let replay = |browser: &Browser<'_>| {
+            let mut visits = Vec::new();
             for &(kind, arg) in &ops {
                 match kind {
                     0 => {
-                        let url = ARENA_PAGES[arg % ARENA_PAGES.len()];
-                        browser.visit(url).unwrap();
+                        let page = arg % ARENA_PAGES.len();
+                        let events = browser.visit(ARENA_PAGES[page]).unwrap().events;
+                        visits.push((page, format!("{events:?}")));
                     }
                     1 => {
                         assert!(browser.visit("http://missing.example/x").is_err());
@@ -802,16 +861,20 @@ proptest! {
                     }
                 }
             }
+            visits
         };
 
-        replay(&browser);
+        let first = replay(&browser);
         let warm = browser.arena_capacity();
-        replay(&browser);
+        let second = replay(&browser);
         prop_assert_eq!(
             browser.arena_capacity(),
             warm,
             "arena grew on a replayed interleaving"
         );
+        for (page, got) in first.iter().chain(&second) {
+            prop_assert_eq!(got, &expected[*page], "history leaked into a replayed visit");
+        }
 
         for (url, want) in ARENA_PAGES.iter().zip(&expected) {
             let got = format!("{:?}", browser.visit(url).unwrap().events);
