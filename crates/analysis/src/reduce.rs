@@ -461,7 +461,9 @@ impl CrawlReduction {
         payloads: &dyn PayloadSource,
     ) -> usize {
         // Every URL below is the one parse the tree carries: the browser's,
-        // or the builder's own for the root and inline scripts.
+        // or the builder's own for the root and inline scripts. Hosts,
+        // URL texts and registrable domains are read from the tree too;
+        // the domains were derived once per distinct host of the page.
         let page = tree.url(tree.root().id);
         // What rule options ask of the page, derived once for its requests.
         let page_facts = page.map(PageFacts::new);
@@ -480,7 +482,8 @@ impl CrawlReduction {
             let (Some(page), Some(url)) = (&page_facts, tree.url(node.id)) else {
                 continue;
             };
-            node_blocked[i] = engine.evaluate_on(page, url, rtype).is_blocked();
+            let url_sld = tree.registrable_domain(node.id);
+            node_blocked[i] = engine.evaluate_on(page, url, url_sld, rtype).is_blocked();
         }
         // Chain blocking: a node's chain is blocked if itself or any
         // ancestor is.
@@ -494,29 +497,21 @@ impl CrawlReduction {
             match node.kind {
                 NodeKind::Script | NodeKind::Image | NodeKind::Xhr => {
                     // Labeling observation (§3.2): tag by the rule lists.
-                    if node.host.is_empty() {
+                    // The host is the parse's, so already lower-case; a
+                    // URL that did not parse has none and is not labeled.
+                    let host = tree.host(node.id);
+                    if host.is_empty() {
                         continue;
                     }
-                    // Hosts come out of the URL parser already lower-cased;
-                    // only allocate for the (never-in-practice) exception.
-                    let host: std::borrow::Cow<'_, str> =
-                        if node.host.bytes().any(|b| b.is_ascii_uppercase()) {
-                            node.host.to_ascii_lowercase().into()
-                        } else {
-                            node.host.as_str().into()
-                        };
                     // Keyed by FULL hostname: the study's Cloudfront
                     // overrides (§3.2) act on fully-qualified CDN hosts, so
                     // aggregation to 2nd-level domains must happen in the
                     // labeler, where the override table lives.
                     // `get_mut` first so the steady state (host already
-                    // seen) touches the map without cloning the key.
-                    let entry = match self.label_counts.get_mut(host.as_ref()) {
+                    // seen) touches the map without copying the key.
+                    let entry = match self.label_counts.get_mut(host) {
                         Some(e) => e,
-                        None => self
-                            .label_counts
-                            .entry(host.clone().into_owned())
-                            .or_insert((0, 0)),
+                        None => self.label_counts.entry(host.to_string()).or_insert((0, 0)),
                     };
                     if node_blocked[i] {
                         entry.0 += 1;
@@ -526,9 +521,9 @@ impl CrawlReduction {
 
                     // HTTP aggregates (keyed by the *full host* via its
                     // SLD; CDN reattribution happens at query time).
-                    let agg = match self.http.get_mut(host.as_ref()) {
+                    let agg = match self.http.get_mut(host) {
                         Some(a) => a,
-                        None => self.http.entry(host.into_owned()).or_default(),
+                        None => self.http.entry(host.to_string()).or_default(),
                     };
                     agg.total += 1;
                     // Sent items: recovered from the URL text (query
@@ -537,8 +532,9 @@ impl CrawlReduction {
                     // Query-less URLs cannot carry key=value items; skip
                     // the 14-pattern scan for them (the common case).
                     let mut user_agent = false;
-                    if node.url.contains('=') {
-                        for item in lib.sent_items_in(&node.url) {
+                    let url = tree.url_text(node.id);
+                    if url.contains('=') {
+                        for item in lib.sent_items_in(url) {
                             user_agent |= item == SentItem::UserAgent;
                             agg.sent_counts[item.index()] += 1;
                         }
@@ -574,15 +570,14 @@ impl CrawlReduction {
                     let chain_hosts: Vec<String> = chain
                         .iter()
                         .take(chain.len() - 1)
-                        .map(|c| c.host.clone())
+                        .map(|c| tree.host(c.id).to_string())
                         .collect();
-                    let initiator_host = chain
+                    let initiator = chain
                         .iter()
                         .rev()
                         .skip(1)
                         .find(|c| c.kind == NodeKind::Script)
-                        .map(|c| c.host.clone())
-                        .unwrap_or_else(|| tree.root().host.clone());
+                        .map_or(tree.root().id, |c| c.id);
                     let cross_origin = match (page, tree.url(node.id)) {
                         (Some(p), Some(u)) => sockscope_urlkit::origin::is_third_party(p, u),
                         _ => true,
@@ -594,9 +589,9 @@ impl CrawlReduction {
                         received_frames,
                     } = payloads.ws_summary(node, lib);
                     self.sockets.push(SocketObservation {
-                        url: node.url.clone(),
-                        host: node.host.clone(),
-                        initiator_host,
+                        url: tree.url_text(node.id).to_string(),
+                        host: tree.host(node.id).to_string(),
+                        initiator_host: tree.host(initiator).to_string(),
                         chain_hosts,
                         cross_origin,
                         sent_items,

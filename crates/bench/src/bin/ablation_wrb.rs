@@ -47,7 +47,8 @@ impl Outcome {
                 match node.kind {
                     NodeKind::WebSocket => self.sockets_opened += 1,
                     NodeKind::Blocked => {
-                        if node.url.starts_with("ws://") || node.url.starts_with("wss://") {
+                        let url = tree.url_text(node.id);
+                        if url.starts_with("ws://") || url.starts_with("wss://") {
                             self.sockets_blocked += 1;
                         } else {
                             self.http_blocked += 1;

@@ -720,7 +720,7 @@ impl<'ar> VisitState<'_, '_, '_, 'ar> {
         }
         let session = match network::run_session(
             &parsed,
-            &origin_of(&self.page_url),
+            self.page_url.origin_str(),
             &self.browser.config.user_agent,
             cookie.as_deref(),
             exchanges,
@@ -786,7 +786,7 @@ impl<'ar> VisitState<'_, '_, '_, 'ar> {
         let cookie = self.jar.header_for(parsed.host_str());
         let outcome = network::run_session_with_faults(
             &parsed,
-            &origin_of(&self.page_url),
+            self.page_url.origin_str(),
             &self.browser.config.user_agent,
             cookie.as_deref(),
             exchanges,
@@ -881,10 +881,6 @@ impl<'ar> VisitState<'_, '_, '_, 'ar> {
         self.scratch_query = q;
         out
     }
-}
-
-fn origin_of(url: &Url) -> String {
-    url.origin().to_string()
 }
 
 fn guess_mime(items: &[sockscope_webmodel::ReceivedItem]) -> &'static str {

@@ -6,7 +6,6 @@ use sockscope_urlkit::psl::shared_registrable_domain;
 use sockscope_urlkit::Url;
 use std::cell::{Cell, OnceCell};
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A request being evaluated against the lists.
@@ -198,14 +197,22 @@ impl Engine {
     }
 
     /// Evaluates a request: exceptions beat blocks (ABP semantics).
-    /// [`Engine::evaluate_on`] with facts about this one request's page.
+    /// [`Engine::evaluate_on`] with facts about this one request's page
+    /// and its own registrable domain.
     pub fn evaluate(&self, ctx: &RequestContext<'_>) -> Decision {
-        self.evaluate_on(&PageFacts::new(ctx.page), ctx.url, ctx.resource_type)
+        self.evaluate_on(
+            &PageFacts::new(ctx.page),
+            ctx.url,
+            ctx.url.second_level_domain(),
+            ctx.resource_type,
+        )
     }
 
     /// Evaluates a request for `url` on the page `page` describes; a
     /// caller deciding many requests of one page builds its
-    /// [`PageFacts`] once.
+    /// [`PageFacts`] once. `url_sld` must be `url.second_level_domain()`,
+    /// which such a caller can derive once per host instead of once per
+    /// request.
     ///
     /// Hot path: generic rules are narrowed through the token index — only
     /// rules whose indexed token occurs in the URL are tried, plus the
@@ -216,21 +223,29 @@ impl Engine {
     /// rule's token, and every `^`-free run of its pattern, occur in the
     /// URL text), so the decision — including the winning rule index — is
     /// identical to [`Engine::evaluate_reference`] on every request. The
-    /// URL text and candidate buffers are per-thread and reused, so a
-    /// decision allocates nothing once they have grown.
+    /// matcher reads the URL's own text unless it has an upper-case byte;
+    /// then, and for candidates, it uses per-thread buffers that are
+    /// reused, so a decision allocates nothing once they have grown.
     pub fn evaluate_on(
         &self,
         page: &PageFacts<'_>,
         url: &Url,
+        url_sld: Option<&str>,
         resource_type: ResourceType,
     ) -> Decision {
+        debug_assert_eq!(url_sld, url.second_level_domain(), "{url}");
         let mut scratch = SCRATCH.with(Cell::take).unwrap_or_default();
         let Scratch {
-            url_text,
+            lowered,
             candidates,
         } = &mut scratch;
-        write_url_text(url, url_text);
-        let mut facts = Facts::new(page, url, resource_type);
+        let url_text = if url.has_uppercase() {
+            lowercase_text(url, lowered);
+            lowered.as_str()
+        } else {
+            url.as_str()
+        };
+        let mut facts = Facts::new(page, url, url_sld, resource_type);
         candidates.clear();
         candidates.extend_from_slice(self.domain_candidates(facts.url_sld));
         let domain_hits = candidates.len();
@@ -267,9 +282,10 @@ impl Engine {
     #[doc(hidden)]
     pub fn evaluate_reference(&self, ctx: &RequestContext<'_>) -> Decision {
         let mut url_text = String::new();
-        write_url_text(ctx.url, &mut url_text);
+        lowercase_text(ctx.url, &mut url_text);
         let page = PageFacts::new(ctx.page);
-        let mut facts = Facts::new(&page, ctx.url, ctx.resource_type);
+        let url_sld = ctx.url.second_level_domain();
+        let mut facts = Facts::new(&page, ctx.url, url_sld, ctx.resource_type);
         let mut candidates = self.domain_candidates(facts.url_sld).to_vec();
         candidates.extend_from_slice(&self.generic);
         self.decide(&mut facts, &url_text, &candidates)
@@ -314,7 +330,7 @@ impl Engine {
 /// Per-thread buffers [`Engine::evaluate`] reuses across requests.
 #[derive(Default)]
 struct Scratch {
-    url_text: String,
+    lowered: String,
     candidates: Vec<usize>,
 }
 
@@ -325,9 +341,10 @@ thread_local! {
 }
 
 /// The facts about one request that rule options ask for, each derived
-/// at most once per decision: the request's registrable domain up front
-/// (the domain index needs it), the third-party status on first use, and
-/// the page's from the [`PageFacts`] shared by the page's requests.
+/// at most once per decision: the request's registrable domain comes
+/// from the caller (the domain index needs it), the third-party status is
+/// derived on first use, and the page's facts come from the
+/// [`PageFacts`] shared by the page's requests.
 struct Facts<'f, 'p> {
     page: &'f PageFacts<'p>,
     url: &'f Url,
@@ -337,12 +354,17 @@ struct Facts<'f, 'p> {
 }
 
 impl<'f, 'p> Facts<'f, 'p> {
-    fn new(page: &'f PageFacts<'p>, url: &'f Url, resource_type: ResourceType) -> Facts<'f, 'p> {
+    fn new(
+        page: &'f PageFacts<'p>,
+        url: &'f Url,
+        url_sld: Option<&'f str>,
+        resource_type: ResourceType,
+    ) -> Facts<'f, 'p> {
         Facts {
             page,
             url,
             resource_type,
-            url_sld: url.second_level_domain(),
+            url_sld,
             third_party: None,
         }
     }
@@ -354,28 +376,17 @@ impl<'f, 'p> Facts<'f, 'p> {
         }
         let third_party = match (self.page.sld(), self.url_sld) {
             (Some(page), Some(url)) => page != url,
-            _ => self.page.page.host() != self.url.host(),
+            _ => self.page.page.host_str() != self.url.host_str(),
         };
         *self.third_party.insert(third_party)
     }
 }
 
-/// Writes the matcher's view of `url` into `out`: its serialization
-/// (as `Display` renders it), ASCII-lowercased. Pieces are copied in;
-/// only a rare explicit port goes through `fmt`.
-fn write_url_text(url: &Url, out: &mut String) {
+/// Writes the matcher's view of `url` into `out`: its text,
+/// ASCII-lowercased.
+fn lowercase_text(url: &Url, out: &mut String) {
     out.clear();
-    out.push_str(url.scheme().as_str());
-    out.push_str("://");
-    out.push_str(url.host_str());
-    if url.port() != url.scheme().default_port() {
-        write!(out, ":{}", url.port()).expect("writing to a String cannot fail");
-    }
-    out.push_str(url.path());
-    if let Some(query) = url.query() {
-        out.push('?');
-        out.push_str(query);
-    }
+    out.push_str(url.as_str());
     out.make_ascii_lowercase();
 }
 
@@ -811,9 +822,16 @@ mod tests {
             "http://x.example/é?É",
         ] {
             let u = url(u);
-            write_url_text(&u, &mut text);
+            lowercase_text(&u, &mut text);
             assert_eq!(text, u.to_string().to_ascii_lowercase());
+            // Only a text with an upper-case byte needs the lowered copy.
+            assert_eq!(u.has_uppercase(), text != u.as_str(), "{u}");
         }
+        let e = engine("/ads/a.js?q=");
+        let page = url("http://pub.example/");
+        let upper = url("http://X.example/ADS/A.js?Q=1");
+        assert!(upper.has_uppercase());
+        assert!(e.blocks(&ctx(&upper, &page, ResourceType::Script)));
     }
 
     #[test]
@@ -834,7 +852,7 @@ mod tests {
                 let c = ctx(u, page, ResourceType::Script);
                 let facts = PageFacts::new(page);
                 assert_eq!(
-                    Facts::new(&facts, u, c.resource_type).third_party(),
+                    Facts::new(&facts, u, u.second_level_domain(), c.resource_type).third_party(),
                     c.is_third_party(),
                     "{u} on {page}"
                 );
@@ -1026,7 +1044,7 @@ $websocket,domain=pub.example
                 let u = url(u);
                 let c = ctx(&u, &page, ResourceType::Script);
                 assert_eq!(
-                    e.evaluate_on(&facts, &u, c.resource_type),
+                    e.evaluate_on(&facts, &u, u.second_level_domain(), c.resource_type),
                     e.evaluate(&c),
                     "{u} on {page}"
                 );

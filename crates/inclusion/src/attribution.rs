@@ -49,29 +49,33 @@ pub fn attribute_sockets(tree: &InclusionTree, aa: &AaDomainSet) -> Vec<SocketAt
 
 fn attribute_one(tree: &InclusionTree, socket: &Node, aa: &AaDomainSet) -> SocketAttribution {
     let chain = tree.chain(socket.id);
-    let receiver = aa.aggregation_key(&socket.host);
+    let socket_host = tree.host(socket.id);
+    let receiver = aa.aggregation_key(socket_host);
     // Nearest ancestor script; else the page.
-    let initiator_host = chain
+    let initiator = chain
         .iter()
         .rev()
         .skip(1) // the socket itself
         .find(|n| n.kind == NodeKind::Script)
-        .map(|n| n.host.clone())
-        .unwrap_or_else(|| tree.root().host.clone());
-    let initiator = aa.aggregation_key(&initiator_host);
-    let chain_domains: Vec<String> = chain.iter().map(|n| aa.aggregation_key(&n.host)).collect();
+        .map_or(tree.root().id, |n| n.id);
+    let initiator = aa.aggregation_key(tree.host(initiator));
+    let chain_domains: Vec<String> = chain
+        .iter()
+        .map(|n| aa.aggregation_key(tree.host(n.id)))
+        .collect();
+    let root_host = tree.host(tree.root().id);
     let cross_origin = match (tree.url(tree.root().id), tree.url(socket.id)) {
         (Some(p), Some(s)) => sockscope_urlkit::origin::is_third_party(p, s),
-        _ => second_level_domain(&tree.root().host) != second_level_domain(&socket.host),
+        _ => second_level_domain(root_host) != second_level_domain(socket_host),
     };
     // Ancestors only (exclude the socket's own endpoint domain).
     let aa_initiated = chain
         .iter()
         .take(chain.len().saturating_sub(1))
-        .any(|n| aa.is_aa_host(&n.host));
-    let aa_received = aa.is_aa_host(&socket.host);
+        .any(|n| aa.is_aa_host(tree.host(n.id)));
+    let aa_received = aa.is_aa_host(socket_host);
     SocketAttribution {
-        socket_url: socket.url.clone(),
+        socket_url: tree.url_text(socket.id).to_string(),
         receiver,
         initiator,
         chain_domains,

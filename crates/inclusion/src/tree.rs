@@ -104,15 +104,12 @@ pub struct WsTranscript {
     pub error: Option<String>,
 }
 
-/// One node of an inclusion tree.
+/// One node of an inclusion tree. Its URL and host are the tree's:
+/// [`InclusionTree::url_text`] and [`InclusionTree::host`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Node {
     /// This node's id.
     pub id: NodeId,
-    /// Resource URL.
-    pub url: String,
-    /// Hostname extracted from `url` (empty if unparseable).
-    pub host: String,
     /// Node kind.
     pub kind: NodeKind,
     /// Parent node; `None` only for the root.
@@ -131,32 +128,103 @@ pub struct Node {
     pub http_sent_ground_truth: Vec<sockscope_webmodel::SentItem>,
 }
 
+/// A node's URL: its parse, and its event text where that is not the
+/// parse's canonical text.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct NodeUrl {
+    parsed: Option<Url>,
+    /// The event's URL text, kept only when it differs from
+    /// `parsed.as_str()`: an `#inline-N` script, an unparseable URL, or
+    /// upper-case or explicit-default-port input.
+    text: Option<String>,
+    /// Where the registrable domain starts in the host; `None` without a
+    /// parse or for an IPv4 host.
+    domain_at: Option<u32>,
+}
+
+impl NodeUrl {
+    fn new(text: Cow<'_, str>, parsed: Option<Url>) -> NodeUrl {
+        let text = match &parsed {
+            Some(url) if url.as_str() == text => None,
+            _ => Some(text.into_owned()),
+        };
+        NodeUrl {
+            parsed,
+            text,
+            domain_at: None,
+        }
+    }
+
+    /// The event's text: kept, or else the parse's (a node without a
+    /// parse always keeps its text).
+    fn text(&self) -> &str {
+        match (&self.text, &self.parsed) {
+            (Some(text), _) => text,
+            (None, parsed) => parsed.as_ref().map_or("", Url::as_str),
+        }
+    }
+
+    fn host(&self) -> &str {
+        self.parsed.as_ref().map_or("", Url::host_str)
+    }
+}
+
 /// An inclusion tree for one page visit.
 ///
 /// Alongside its nodes the tree carries each node's parsed URL, so every
-/// consumer (the reducer, blocking, attribution) reads one parse instead
-/// of re-parsing the URL text. That parse is the browser's, moved in with
+/// consumer (the reducer, attribution) reads one parse instead of
+/// re-parsing the URL text. That parse is the browser's, moved in with
 /// the event that created the node (`parsed_url`); the builder parses only
 /// what arrives without one: the page root, inline-script URLs,
-/// extension-blocked requests and hand-built streams. Invariant:
-/// `urls[i] == Url::parse(&nodes[i].url).ok()`.
+/// extension-blocked requests and hand-built streams. A node's URL text
+/// is the parse's canonical text unless the event's text differed, which
+/// the tree then keeps. Invariant: `url(i) == Url::parse(url_text(i)).ok()`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InclusionTree {
     /// The visited page URL.
     pub page_url: String,
     nodes: Vec<Node>,
-    urls: Vec<Option<Url>>,
+    urls: Vec<NodeUrl>,
 }
 
-// Hand-written serde (the vendored derive cannot skip a field): the JSON
-// carries `page_url` and `nodes` only, and loading rebuilds the parses
-// from the node URLs.
+// Hand-written serde: the JSON carries `page_url` and `nodes`, each node
+// with its `url` text and `host` after its `id`, and loading rebuilds the
+// parses from the node URLs.
 impl Serialize for InclusionTree {
     fn to_value(&self) -> Value {
+        let nodes = self
+            .nodes
+            .iter()
+            .zip(&self.urls)
+            .map(|(node, url)| {
+                let mut value = node.to_value();
+                if let Value::Obj(fields) = &mut value {
+                    fields.insert(1, ("url".to_string(), url.text().to_value()));
+                    fields.insert(2, ("host".to_string(), url.host().to_value()));
+                }
+                value
+            })
+            .collect();
         Value::Obj(vec![
             ("page_url".to_string(), self.page_url.to_value()),
-            ("nodes".to_string(), self.nodes.to_value()),
+            ("nodes".to_string(), Value::Arr(nodes)),
         ])
+    }
+}
+
+/// A node as the JSON stores it: its fields and its URL text (its
+/// `host` is read from the parse instead).
+struct StoredNode {
+    node: Node,
+    url: String,
+}
+
+impl Deserialize for StoredNode {
+    fn from_value(v: &Value) -> Result<StoredNode, de::Error> {
+        Ok(StoredNode {
+            node: Node::from_value(v)?,
+            url: de::field(de::expect_obj(v, "Node")?, "url", "Node")?,
+        })
     }
 }
 
@@ -164,15 +232,65 @@ impl Deserialize for InclusionTree {
     fn from_value(v: &Value) -> Result<InclusionTree, de::Error> {
         const CTX: &str = "InclusionTree";
         let obj = de::expect_obj(v, CTX)?;
-        let page_url = de::field(obj, "page_url", CTX)?;
-        let nodes: Vec<Node> = de::field(obj, "nodes", CTX)?;
-        let urls = nodes.iter().map(|n| Url::parse(&n.url).ok()).collect();
-        Ok(InclusionTree {
-            page_url,
-            nodes,
-            urls,
-        })
+        let stored: Vec<StoredNode> = de::field(obj, "nodes", CTX)?;
+        let mut tree = InclusionTree {
+            page_url: de::field(obj, "page_url", CTX)?,
+            nodes: Vec::with_capacity(stored.len()),
+            urls: Vec::with_capacity(stored.len()),
+        };
+        let mut domains = DomainMemo::default();
+        for StoredNode { node, url } in stored {
+            let parsed = Url::parse(&url).ok();
+            tree.nodes.push(node);
+            tree.urls.push(NodeUrl::new(Cow::Owned(url), parsed));
+            domains.record(&mut tree.urls);
+        }
+        Ok(tree)
     }
+}
+
+/// A page's registrable domains, derived once per distinct host: host
+/// hash → the first node with that host. A page's requests share a
+/// handful of hosts, so most nodes copy an earlier node's answer. Hosts
+/// come from crawled pages, so the map keeps its default, keyed hasher.
+#[derive(Default)]
+struct DomainMemo(HashMap<u64, usize>);
+
+impl DomainMemo {
+    /// Sets the last node's registrable domain: an earlier node's with the
+    /// same host, or derived from its host and remembered.
+    fn record(&mut self, urls: &mut [NodeUrl]) {
+        let Some((last, earlier)) = urls.split_last_mut() else {
+            return;
+        };
+        let Some(url) = &last.parsed else {
+            return;
+        };
+        let host = url.host_str();
+        let hash = host_hash(host);
+        let first = self.0.get(&hash).and_then(|&i| earlier.get(i));
+        last.domain_at = match first {
+            Some(first) if first.host() == host => first.domain_at,
+            _ => {
+                // A hash collision keeps the first host's entry.
+                self.0.entry(hash).or_insert(earlier.len());
+                url.second_level_domain()
+                    .map(|domain| (host.len() - domain.len()) as u32)
+            }
+        };
+    }
+}
+
+/// A cheap hash of the host, a word at a time. A collision only costs a
+/// derivation, never a wrong answer: the memo compares the hosts.
+fn host_hash(host: &str) -> u64 {
+    let mut hash = host.len() as u64;
+    for chunk in host.as_bytes().chunks(8) {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        hash = (hash.rotate_left(5) ^ u64::from_le_bytes(word)).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+    hash
 }
 
 impl InclusionTree {
@@ -204,7 +322,27 @@ impl InclusionTree {
     /// A node's parsed URL, or `None` when its URL text does not parse.
     /// The root's is the page's.
     pub fn url(&self, id: NodeId) -> Option<&Url> {
-        self.urls[id.0].as_ref()
+        self.urls[id.0].parsed.as_ref()
+    }
+
+    /// A node's URL text, exactly as its event carried it.
+    pub fn url_text(&self, id: NodeId) -> &str {
+        self.urls[id.0].text()
+    }
+
+    /// A node's host, lower-case, from its parse; `""` when its URL does
+    /// not parse.
+    pub fn host(&self, id: NodeId) -> &str {
+        self.urls[id.0].host()
+    }
+
+    /// The registrable domain of a node's host; `None` when its URL does
+    /// not parse or its host is an IPv4 literal. Equal to
+    /// `url(id)?.second_level_domain()`, derived once per distinct host of
+    /// the page.
+    pub fn registrable_domain(&self, id: NodeId) -> Option<&str> {
+        let url = &self.urls[id.0];
+        Some(&url.host()[url.domain_at? as usize..])
     }
 
     /// All nodes in creation order.
@@ -267,7 +405,7 @@ impl InclusionTree {
             NodeKind::WebSocket => "websocket",
             NodeKind::Blocked => "BLOCKED",
         };
-        out.push_str(&format!("[{kind}] {}\n", n.url));
+        out.push_str(&format!("[{kind}] {}\n", self.url_text(id)));
         for &c in &n.children {
             self.ascii_node(c, depth + 1, out);
         }
@@ -275,7 +413,9 @@ impl InclusionTree {
 
     /// Tree invariants, checked by tests and property tests: exactly one
     /// root, parent/child pointers consistent, acyclic by construction,
-    /// and each carried URL parse equal to a fresh parse of the node URL.
+    /// each carried URL parse equal to a fresh parse of the node's URL
+    /// text, that text kept only where it differs from the parse's, and
+    /// each registrable domain the parse's.
     pub fn check_invariants(&self) -> Result<(), String> {
         if self.nodes.is_empty() {
             return Err("empty tree".into());
@@ -284,8 +424,19 @@ impl InclusionTree {
             return Err("parsed URLs not parallel to nodes".into());
         }
         for (i, n) in self.nodes.iter().enumerate() {
-            if self.urls[i] != Url::parse(&n.url).ok() {
+            let url = &self.urls[i];
+            if url.parsed != Url::parse(url.text()).ok() {
                 return Err(format!("node {i}: carried URL parse differs from its text"));
+            }
+            if url.parsed.as_ref().map(Url::as_str) == url.text.as_deref() {
+                return Err(format!("node {i}: keeps a copy of its canonical text"));
+            }
+            if self.registrable_domain(n.id)
+                != url.parsed.as_ref().and_then(Url::second_level_domain)
+            {
+                return Err(format!(
+                    "node {i}: registrable domain differs from its host's"
+                ));
             }
             if n.id.0 != i {
                 return Err(format!("node {i} has mismatched id {:?}", n.id));
@@ -327,8 +478,9 @@ impl InclusionTree {
 /// Each node's URL is parsed once per visit: a node-creating event hands
 /// over the browser's parse in its `parsed_url`, and the builder parses
 /// only a URL that arrives without one. The parse supplies the node's
-/// `host` and travels with the finished tree (see [`InclusionTree::url`]),
-/// so no consumer parses a node URL again.
+/// text, host and registrable domain (the last derived once per distinct
+/// host of the page) and travels with the finished tree (see
+/// [`InclusionTree::url`]), so no consumer parses a node URL again.
 ///
 /// A builder serves any number of pages: [`TreeBuilder::reset`] starts the
 /// next page and [`TreeBuilder::recycle`] takes back a spent tree's node
@@ -342,8 +494,10 @@ pub struct TreeBuilder {
     /// Frame nodes created from subframe Document requests, waiting for
     /// their `frameNavigated` to bind the frame id (keyed by URL).
     pending_docs: HashMap<String, NodeId>,
-    /// Parsed node URLs, parallel to `nodes`.
-    urls: Vec<Option<Url>>,
+    /// Node URLs, parallel to `nodes`.
+    urls: Vec<NodeUrl>,
+    /// The page's registrable domains by host.
+    domains: DomainMemo,
 }
 
 impl TreeBuilder {
@@ -358,6 +512,7 @@ impl TreeBuilder {
             by_request: HashMap::new(),
             pending_docs: HashMap::new(),
             urls: Vec::new(),
+            domains: DomainMemo::default(),
         };
         b.reset(page_url);
         b
@@ -376,6 +531,7 @@ impl TreeBuilder {
         self.by_frame.clear();
         self.by_request.clear();
         self.pending_docs.clear();
+        self.domains.0.clear();
         let root = self.push_node(Cow::Borrowed(page_url), None, NodeKind::Page, None);
         self.by_frame.insert(FrameId(0), root);
     }
@@ -451,14 +607,11 @@ impl TreeBuilder {
             }
             None => Url::parse(&url).ok(),
         };
-        let host = parsed.as_ref().map_or("", Url::host_str).to_string();
         if let Some(p) = parent {
             self.nodes[p.0].children.push(id);
         }
         self.nodes.push(Node {
             id,
-            url: url.into_owned(),
-            host,
             kind,
             parent,
             children: Vec::new(),
@@ -466,7 +619,8 @@ impl TreeBuilder {
             http_body: None,
             http_sent_ground_truth: Vec::new(),
         });
-        self.urls.push(parsed);
+        self.urls.push(NodeUrl::new(url, parsed));
+        self.domains.record(&mut self.urls);
         id
     }
 
@@ -722,7 +876,7 @@ mod tests {
         let chain: Vec<&str> = tree
             .chain(socket.id)
             .iter()
-            .map(|n| n.url.as_str())
+            .map(|n| tree.url_text(n.id))
             .collect();
         assert_eq!(
             chain,
@@ -760,7 +914,7 @@ mod tests {
         let ads = tree
             .nodes()
             .iter()
-            .find(|n| n.url == "http://ads.example/script.js")
+            .find(|n| tree.url_text(n.id) == "http://ads.example/script.js")
             .unwrap();
         assert_eq!(ads.children.len(), 2);
     }
@@ -928,13 +1082,213 @@ mod tests {
         let tree = odd_url_tree();
         tree.check_invariants().unwrap();
         assert_eq!(tree.url(NodeId(0)).unwrap().host_str(), "p.example");
-        // Unparseable URL: no parse, empty host.
+        // Unparseable URL: no parse, empty host, no registrable domain.
         assert_eq!(tree.url(NodeId(1)), None);
-        assert_eq!(tree.node(NodeId(1)).host, "");
+        assert_eq!(tree.host(NodeId(1)), "");
+        assert_eq!(tree.registrable_domain(NodeId(1)), None);
         // The host is the parse's (lower-cased) host.
         let socket = tree.url(NodeId(2)).unwrap();
         assert_eq!(socket.host_str(), "chat.example");
-        assert_eq!(tree.node(NodeId(2)).host, "chat.example");
+        assert_eq!(tree.host(NodeId(2)), "chat.example");
+        assert_eq!(tree.registrable_domain(NodeId(2)), Some("chat.example"));
+    }
+
+    /// A node keeps its event's exact text wherever that is not the
+    /// parse's canonical text; its host still comes from the parse.
+    #[test]
+    fn nodes_keep_event_text_that_is_not_canonical() {
+        use CdpEvent::*;
+        let events = vec![
+            ScriptParsed {
+                script_id: ScriptId(1),
+                url: "http://p.example/#inline-0".into(),
+                parsed_url: None,
+                frame_id: FrameId(0),
+                initiator: Initiator::Parser(FrameId(0)),
+            },
+            RequestWillBeSent {
+                request_id: RequestId(1),
+                url: "http://cdn.p.example:80/a.js?x=1".into(),
+                parsed_url: None,
+                resource_type: ResourceKind::Xhr,
+                initiator: Initiator::Script(ScriptId(1)),
+                frame_id: FrameId(0),
+            },
+            RequestWillBeSent {
+                request_id: RequestId(2),
+                url: "http://Ads.Example.co.uk/Pixel.gif".into(),
+                parsed_url: None,
+                resource_type: ResourceKind::Image,
+                initiator: Initiator::Script(ScriptId(1)),
+                frame_id: FrameId(0),
+            },
+            RequestWillBeSent {
+                request_id: RequestId(3),
+                url: "http://x.ads.example.co.uk/p.gif".into(),
+                parsed_url: None,
+                resource_type: ResourceKind::Image,
+                initiator: Initiator::Script(ScriptId(1)),
+                frame_id: FrameId(0),
+            },
+        ];
+        let tree = InclusionTree::build("http://p.example/", &events);
+        tree.check_invariants().unwrap();
+        let want = [
+            ("http://p.example/", "p.example", Some("p.example")),
+            ("http://p.example/#inline-0", "p.example", Some("p.example")),
+            (
+                "http://cdn.p.example:80/a.js?x=1",
+                "cdn.p.example",
+                Some("p.example"),
+            ),
+            (
+                "http://Ads.Example.co.uk/Pixel.gif",
+                "ads.example.co.uk",
+                Some("example.co.uk"),
+            ),
+            (
+                "http://x.ads.example.co.uk/p.gif",
+                "x.ads.example.co.uk",
+                Some("example.co.uk"),
+            ),
+        ];
+        for (i, (text, host, domain)) in want.into_iter().enumerate() {
+            let id = NodeId(i);
+            assert_eq!(tree.url_text(id), text);
+            assert_eq!(tree.host(id), host);
+            assert_eq!(tree.registrable_domain(id), domain);
+        }
+        // The canonical texts differ from the kept ones.
+        assert_eq!(tree.url(NodeId(1)).unwrap().as_str(), "http://p.example/");
+        assert_eq!(
+            tree.url(NodeId(2)).unwrap().as_str(),
+            "http://cdn.p.example/a.js?x=1"
+        );
+        let json = serde_json::to_string(&tree).unwrap();
+        for (text, host, _) in want {
+            assert!(
+                json.contains(&format!(r#""url":"{text}","host":"{host}""#)),
+                "{json}"
+            );
+        }
+        let back: InclusionTree = serde_json::from_str(&json).unwrap();
+        back.check_invariants().unwrap();
+        assert_eq!(back, tree);
+    }
+
+    /// The URL of the node an event creates, if it creates one.
+    fn created_url<'e>(event: &'e CdpEvent<'_>) -> Option<&'e str> {
+        match event {
+            CdpEvent::FrameNavigated { url, .. }
+            | CdpEvent::ScriptParsed { url, .. }
+            | CdpEvent::RequestWillBeSent { url, .. }
+            | CdpEvent::WebSocketCreated { url, .. }
+            | CdpEvent::RequestBlockedByExtension { url, .. } => Some(url),
+            _ => None,
+        }
+    }
+
+    /// Builds the tree of `events` with their carried parses, asserting
+    /// that each node's text is the URL of the event that created it.
+    /// Returns how many nodes keep their own text.
+    fn assert_node_texts_are_event_urls(page: &str, events: &[CdpEvent<'_>]) -> usize {
+        let mut b = TreeBuilder::new(page);
+        assert_eq!(b.urls[0].text(), page);
+        for event in events {
+            let before = b.len();
+            b.push(event.clone());
+            if b.len() > before {
+                assert_eq!(Some(b.urls[before].text()), created_url(event));
+            }
+        }
+        let tree = b.finish();
+        tree.check_invariants().unwrap();
+        tree.urls.iter().filter(|u| u.text.is_some()).count()
+    }
+
+    /// The browser's streams: the Figure 2 visit, and visits under heavy
+    /// faults with every node kind (XHRs with an upper-case host and a
+    /// query, static and script-injected frames, inline scripts, sockets
+    /// that fail part-way).
+    #[test]
+    fn node_texts_are_their_events_urls() {
+        use sockscope_browser::{Browser, BrowserConfig, BrowserEra, ExtensionHost};
+        use sockscope_faults::{FaultContext, FaultProfile};
+        use sockscope_webmodel::host::StaticHost;
+        use sockscope_webmodel::{
+            Action, Page, ReceivedItem, ScriptBehavior, ScriptRef, SentItem, WsServerProfile,
+        };
+        let mut host = StaticHost::new();
+        let mut page = Page::new("http://pub.example/index.html", "Pub");
+        page.scripts = vec![
+            ScriptRef::Remote("http://pub.example/script.js".into()),
+            ScriptRef::Remote("http://ads.example/script.js".into()),
+        ];
+        host.add_page(page);
+        host.add_script("http://pub.example/script.js", ScriptBehavior::inert());
+        host.add_script(
+            "http://ads.example/script.js",
+            ScriptBehavior::inert()
+                .then(Action::FetchImage {
+                    url: "http://ads.example/image.img".into(),
+                    sent: vec![],
+                })
+                .then(Action::OpenWebSocket {
+                    url: "ws://adnet.example/data.ws".into(),
+                    exchanges: vec![],
+                }),
+        );
+        host.add_ws_server("ws://adnet.example/data.ws", WsServerProfile::accepting());
+        let mut page = Page::new("http://mixed.example/", "Mixed");
+        page.scripts = vec![
+            ScriptRef::Remote("http://ads.example/script.js".into()),
+            ScriptRef::Inline(
+                ScriptBehavior::inert()
+                    .then(Action::FetchXhr {
+                        url: "https://Collect.Example/beacon?v=1".into(),
+                        sent: vec![SentItem::UserId, SentItem::Cookie],
+                        receive: vec![ReceivedItem::Json],
+                    })
+                    .then(Action::OpenFrame {
+                        url: "http://pub.example/index.html".into(),
+                    })
+                    .then(Action::OpenWebSocket {
+                        url: "wss://adnet.example/data.ws".into(),
+                        exchanges: vec![],
+                    }),
+            ),
+        ];
+        page.iframes = vec!["http://pub.example/index.html".into()];
+        host.add_page(page);
+        host.accept_all_ws = true;
+        let browser = Browser::new(
+            &host,
+            ExtensionHost::stock(BrowserEra::PreChrome58),
+            BrowserConfig::default(),
+        );
+        let page = "http://pub.example/index.html";
+        let visit = browser.visit(page).unwrap();
+        assert_eq!(assert_node_texts_are_event_urls(page, &visit.events), 0);
+        let (mut visits, mut kept) = (0, 0);
+        for seed in 0..32 {
+            let faults = FaultContext {
+                profile: FaultProfile::heavy(),
+                seed,
+                site_rank: 3,
+                attempt: 0,
+            };
+            for page in ["http://mixed.example/", "http://pub.example/index.html"] {
+                if let Ok(visit) = browser.visit_with_faults(page, Some(&faults)) {
+                    kept += assert_node_texts_are_event_urls(page, &visit.events);
+                    visits += 1;
+                }
+            }
+        }
+        // The inline script and the upper-case XHR keep their text.
+        assert!(
+            visits > 32 && kept > 32,
+            "{visits} visits, {kept} kept texts"
+        );
     }
 
     /// The JSON is `page_url` + `nodes` only, byte for byte the derived

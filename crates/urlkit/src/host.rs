@@ -139,50 +139,10 @@ impl Host {
     /// (letters, digits, hyphens; hyphens not at label edges; underscores
     /// tolerated because real tracker hostnames use them).
     pub fn parse(input: &str) -> Result<Host, HostError> {
-        if input.is_empty() {
-            return Err(HostError::Empty);
-        }
-        // A dotted quad is at most 15 bytes of digits and dots; any other
-        // input skips straight to the name checks.
-        if input.len() <= 15 && input.bytes().all(|b| b.is_ascii_digit() || b == b'.') {
-            if let Some(ip) = parse_ipv4(input) {
-                return Ok(Host::Ipv4(Ipv4Text::new(ip)));
-            }
-        }
-        if input.len() > 253 {
-            return Err(HostError::TooLong);
-        }
-        // One pass over the bytes. Each label's length and hyphen checks
-        // come before its first bad character, as in a label-by-label scan.
-        let bytes = input.as_bytes();
-        let mut start = 0;
-        let mut bad: Option<usize> = None;
-        for i in 0..=bytes.len() {
-            let b = bytes.get(i).copied().unwrap_or(b'.');
-            if b != b'.' {
-                if bad.is_none() && !(b.is_ascii_alphanumeric() || b == b'-' || b == b'_') {
-                    bad = Some(i);
-                }
-                continue;
-            }
-            let label = &bytes[start..i];
-            if label.is_empty() {
-                return Err(HostError::EmptyLabel);
-            }
-            if label.len() > 63 {
-                return Err(HostError::TooLong);
-            }
-            if label[0] == b'-' || label[label.len() - 1] == b'-' {
-                return Err(HostError::BadHyphen);
-            }
-            if let Some(at) = bad {
-                // Every byte before `at` is ASCII, so `at` starts a char.
-                let c = input[at..].chars().next().expect("char boundary");
-                return Err(HostError::BadChar(c));
-            }
-            start = i + 1;
-        }
-        Ok(Host::Domain(input.to_ascii_lowercase()))
+        Ok(match validate(input)? {
+            HostKind::Ipv4(octets) => Host::Ipv4(Ipv4Text::new(octets)),
+            HostKind::Domain => Host::Domain(input.to_ascii_lowercase()),
+        })
     }
 
     /// The host rendered as it appears in a URL.
@@ -230,6 +190,123 @@ impl fmt::Display for Host {
             Host::Ipv4(ip) => f.write_str(ip.as_str()),
         }
     }
+}
+
+/// What a valid host text is: [`validate`]'s answer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum HostKind {
+    /// A dotted-quad IPv4 literal (always in canonical form).
+    Ipv4([u8; 4]),
+    /// A DNS name.
+    Domain,
+}
+
+/// Byte classes for the host fast path.
+const LABEL: u8 = 1;
+const DOT: u8 = 2;
+
+/// `[A-Za-z0-9_-]` → `LABEL`, `.` → `DOT`, else 0.
+static HOST_CLASS: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut b = 0;
+    while b < 256 {
+        let c = b as u8;
+        table[b] = match c {
+            b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_' => LABEL,
+            b'.' => DOT,
+            _ => 0,
+        };
+        b += 1;
+    }
+    table
+};
+
+/// Validates a host, with exactly [`Host::parse`]'s answers.
+///
+/// A fast path accepts a valid host in one table-driven scan that checks
+/// every rule at once, and tries it as an IPv4 literal only when it ends
+/// in a digit, as every dotted quad does. Only a host it refuses runs the
+/// precise checks, whose order fixes which [`HostError`] a bad host gets.
+pub(crate) fn validate(input: &str) -> Result<HostKind, HostError> {
+    if !is_valid_fast(input.as_bytes()) {
+        return validate_precisely(input);
+    }
+    Ok(match input.as_bytes().last() {
+        Some(b) if b.is_ascii_digit() => parse_ipv4(input).map_or(HostKind::Domain, HostKind::Ipv4),
+        _ => HostKind::Domain,
+    })
+}
+
+/// One scan: `true` when `host` has 1 to 253 bytes of letters, digits,
+/// `-`, `_` and dots, in labels of 1 to 63 bytes that neither start nor
+/// end with `-`.
+fn is_valid_fast(host: &[u8]) -> bool {
+    if host.is_empty() || host.len() > 253 {
+        return false;
+    }
+    let label_ok = |label: &[u8]| match (label.first(), label.last()) {
+        (Some(&first), Some(&last)) => label.len() <= 63 && first != b'-' && last != b'-',
+        _ => false,
+    };
+    let mut start = 0;
+    for (i, &b) in host.iter().enumerate() {
+        match HOST_CLASS[usize::from(b)] {
+            LABEL => {}
+            DOT if label_ok(&host[start..i]) => start = i + 1,
+            _ => return false,
+        }
+    }
+    label_ok(&host[start..])
+}
+
+/// The label-by-label checks, in the order that picks a bad host's
+/// error: IPv4, name length, then each label's emptiness, length,
+/// hyphens and characters.
+fn validate_precisely(input: &str) -> Result<HostKind, HostError> {
+    if input.is_empty() {
+        return Err(HostError::Empty);
+    }
+    // A dotted quad is at most 15 bytes of digits and dots; any other
+    // input skips straight to the name checks.
+    if input.len() <= 15 && input.bytes().all(|b| b.is_ascii_digit() || b == b'.') {
+        if let Some(ip) = parse_ipv4(input) {
+            return Ok(HostKind::Ipv4(ip));
+        }
+    }
+    if input.len() > 253 {
+        return Err(HostError::TooLong);
+    }
+    // One pass over the bytes. Each label's length and hyphen checks
+    // come before its first bad character, as in a label-by-label scan.
+    let bytes = input.as_bytes();
+    let mut start = 0;
+    let mut bad: Option<usize> = None;
+    for i in 0..=bytes.len() {
+        let b = bytes.get(i).copied().unwrap_or(b'.');
+        if b != b'.' {
+            if bad.is_none() && !(b.is_ascii_alphanumeric() || b == b'-' || b == b'_') {
+                bad = Some(i);
+            }
+            continue;
+        }
+        let label = &bytes[start..i];
+        if label.is_empty() {
+            return Err(HostError::EmptyLabel);
+        }
+        if label.len() > 63 {
+            return Err(HostError::TooLong);
+        }
+        if label[0] == b'-' || label[label.len() - 1] == b'-' {
+            return Err(HostError::BadHyphen);
+        }
+        if let Some(at) = bad {
+            // Every byte before `at` is ASCII, so `at` starts a char.
+            let c = input[at..].chars().next().expect("char boundary");
+            return Err(HostError::BadChar(c));
+        }
+        start = i + 1;
+    }
+    Ok(HostKind::Domain)
 }
 
 fn parse_ipv4(s: &str) -> Option<[u8; 4]> {

@@ -11,9 +11,12 @@
 //! This crate provides:
 //!
 //! * [`Url`] — a small, strict parser for the four schemes the study cares
-//!   about (`http`, `https`, `ws`, `wss`), plus the pieces the crawler needs
-//!   (host, port, path, query).
-//! * [`Host`] — validated hosts (DNS names or IPv4 literals).
+//!   about (`http`, `https`, `ws`, `wss`). A parsed URL is one `String`,
+//!   its canonical text, and the pieces the crawler needs (host, port,
+//!   path, query) are spans of it: a parse is one scan and one
+//!   allocation.
+//! * [`Host`] — validated hosts (DNS names or IPv4 literals), as origins
+//!   hold them.
 //! * [`psl`] — an embedded public-suffix list and the
 //!   [`second_level_domain`] routine used for A&A
 //!   labeling.

@@ -109,7 +109,7 @@ pub fn is_third_party(first_party: &Url, resource: &Url) -> bool {
         resource.second_level_domain(),
     ) {
         (Some(a), Some(b)) => a != b,
-        _ => first_party.host() != resource.host(),
+        _ => first_party.host_str() != resource.host_str(),
     }
 }
 

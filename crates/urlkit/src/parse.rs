@@ -1,7 +1,7 @@
 //! URL parsing for the four schemes the study instruments.
 
-use crate::host::{Host, HostError};
-use std::fmt;
+use crate::host::{validate, Host, HostError, HostKind};
+use std::fmt::{self, Write as _};
 
 /// URL scheme. The measurement pipeline only ever deals with HTTP(S) pages
 /// and resources and WS(S) sockets; anything else is a parse error, which
@@ -33,11 +33,6 @@ impl Scheme {
         matches!(self, Scheme::Ws | Scheme::Wss)
     }
 
-    /// `true` for `https` and `wss`.
-    pub fn is_secure(self) -> bool {
-        matches!(self, Scheme::Https | Scheme::Wss)
-    }
-
     /// The scheme string without `://`.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -55,19 +50,28 @@ impl fmt::Display for Scheme {
     }
 }
 
-/// A parsed absolute URL.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// A parsed absolute URL, held as its canonical text.
+///
+/// The text is the URL's one serialization, `scheme://host[:port]path[?query]`:
+/// the scheme and host lower-cased, the port only when it is not the
+/// scheme's default, no fragment, no empty `?`. It is what [`Url::as_str`]
+/// and `Display` give, and every accessor borrows a span of it, so a parse
+/// costs one allocation. Two URLs are equal when their texts are.
+#[derive(Debug, Clone)]
 pub struct Url {
-    scheme: Scheme,
-    host: Host,
+    text: String,
+    /// The host runs from just after `scheme://` to here.
+    host_end: u32,
+    /// The path is `path_start..query_at`; an explicit port sits between
+    /// `host_end` and here.
+    path_start: u32,
+    /// Where `?query` begins, or the text's length when there is no query.
+    query_at: u32,
     port: u16,
-    /// Path then query in one buffer (one allocation per parse instead
-    /// of two): the path is `..query_at` (always begins with `/`), the
-    /// query — without the leading `?` — is `query_at..` (empty if
-    /// absent). `query_at` participates in derived equality/hashing, so
-    /// `/a?b` and `/ab` stay distinct.
-    path_query: String,
-    query_at: usize,
+    scheme: Scheme,
+    ipv4: bool,
+    /// The text has an ASCII upper-case byte (only a path or a query can).
+    upper: bool,
 }
 
 /// Errors produced by [`Url::parse`].
@@ -83,6 +87,8 @@ pub enum ParseError {
     BadPort,
     /// URL contained whitespace or control characters.
     BadChar,
+    /// URL text longer than 4 GiB.
+    TooLong,
 }
 
 impl fmt::Display for ParseError {
@@ -93,14 +99,84 @@ impl fmt::Display for ParseError {
             ParseError::BadHost(e) => write!(f, "invalid host: {e}"),
             ParseError::BadPort => write!(f, "invalid port"),
             ParseError::BadChar => write!(f, "whitespace or control character in URL"),
+            ParseError::TooLong => write!(f, "URL longer than 4 GiB"),
         }
     }
 }
 
 impl std::error::Error for ParseError {}
 
+/// Byte classes for [`Url::parse`]'s scan: each of its loops skips the
+/// bytes outside the classes it stops at.
+const FORBIDDEN: u8 = 1;
+const COLON: u8 = 2;
+const AUTHORITY_MARK: u8 = 4;
+const QUERY: u8 = 8;
+const FRAGMENT: u8 = 16;
+const UPPER: u8 = 32;
+
+/// ASCII control bytes and the space are `FORBIDDEN` (no URL may hold
+/// them); `:`, `/`, `@`, `?` and `#` mark the authority's parts and end;
+/// `?` and `#` also start the query and the fragment.
+static URL_CLASS: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut b = 0;
+    while b < 256 {
+        let c = b as u8;
+        table[b] = match c {
+            0..=b' ' | 0x7f => FORBIDDEN,
+            b':' => COLON | AUTHORITY_MARK,
+            b'/' | b'@' => AUTHORITY_MARK,
+            b'?' => AUTHORITY_MARK | QUERY,
+            b'#' => AUTHORITY_MARK | FRAGMENT,
+            b'A'..=b'Z' => UPPER,
+            _ => 0,
+        };
+        b += 1;
+    }
+    table
+};
+
+/// The first index at or after `from` whose byte is in a `stop` class,
+/// or `bytes.len()`.
+fn skip(bytes: &[u8], from: usize, stop: u8) -> usize {
+    bytes[from..]
+        .iter()
+        .position(|&b| URL_CLASS[usize::from(b)] & stop != 0)
+        .map_or(bytes.len(), |i| from + i)
+}
+
+/// `err`, unless `rest` holds a forbidden byte: [`ParseError::BadChar`]
+/// outranks every other error, wherever the byte is.
+fn fail(rest: &[u8], err: ParseError) -> Result<Url, ParseError> {
+    Err(if skip(rest, 0, FORBIDDEN) < rest.len() {
+        ParseError::BadChar
+    } else {
+        err
+    })
+}
+
+/// The supported scheme named by `name`, in any case.
+fn scheme_named(name: &str) -> Option<Scheme> {
+    let scheme = match name.len() {
+        2 => Scheme::Ws,
+        3 => Scheme::Wss,
+        4 => Scheme::Http,
+        5 => Scheme::Https,
+        _ => return None,
+    };
+    name.eq_ignore_ascii_case(scheme.as_str()).then_some(scheme)
+}
+
 impl Url {
     /// Parses an absolute `http`/`https`/`ws`/`wss` URL.
+    ///
+    /// One scan of the input finds the scheme's end, the authority (its
+    /// last `@` and the port's `:`), the query's `?` and the fragment's
+    /// `#`, and rejects control bytes on the way; a table of byte classes
+    /// lets it skip the bytes in between. The canonical text is then
+    /// written in one allocation: for most URLs, a copy of the input's
+    /// head with its scheme and host lower-cased.
     ///
     /// ```
     /// use sockscope_urlkit::{Url, Scheme};
@@ -110,76 +186,162 @@ impl Url {
     /// assert_eq!(u.port(), 443);
     /// assert_eq!(u.path(), "/data.ws");
     /// assert_eq!(u.query(), Some("id=7"));
+    /// assert_eq!(Url::parse("HTTP://Ads.Example:80/X#f").unwrap().as_str(), "http://ads.example/X");
     /// ```
     pub fn parse(input: &str) -> Result<Url, ParseError> {
         let input = input.trim();
-        if input.bytes().any(|b| b.is_ascii_control() || b == b' ') {
+        let bytes = input.as_bytes();
+        // The text is at most one byte longer than the input (a `/` for
+        // an empty path), so every span then fits a `u32`.
+        if bytes.len() >= u32::MAX as usize {
+            return Err(ParseError::TooLong);
+        }
+        // The scheme ends at the first `:`.
+        let colon = skip(bytes, 0, FORBIDDEN | COLON);
+        match bytes.get(colon) {
+            None => return Err(ParseError::BadScheme),
+            Some(b':') => {}
+            Some(_) => return Err(ParseError::BadChar),
+        }
+        let Some(scheme) = scheme_named(&input[..colon]) else {
+            return fail(&bytes[colon..], ParseError::BadScheme);
+        };
+        if !input[colon + 1..].starts_with("//") {
+            return fail(&bytes[colon..], ParseError::MissingSeparator);
+        }
+        // The authority ends at the path, query or fragment. Its last `@`
+        // ends a userinfo (dropped: rare, but cheap to support), and the
+        // last `:` after that `@` starts the port.
+        let mut host_start = colon + 3;
+        let mut port_colon = None;
+        let mut i = host_start;
+        let authority_end = loop {
+            i = skip(bytes, i, FORBIDDEN | AUTHORITY_MARK);
+            match bytes.get(i) {
+                None | Some(b'/' | b'?' | b'#') => break i,
+                Some(b'@') => {
+                    host_start = i + 1;
+                    port_colon = None;
+                }
+                Some(b':') => port_colon = Some(i),
+                Some(_) => return Err(ParseError::BadChar),
+            }
+            i += 1;
+        };
+        // The path runs to the first `?` or `#`, the query to the `#`;
+        // either may hold an upper-case byte.
+        let mut query_mark = None;
+        let mut upper = false;
+        let mut stop = FORBIDDEN | QUERY | FRAGMENT | UPPER;
+        let fragment = loop {
+            i = skip(bytes, i, stop);
+            match bytes.get(i) {
+                None | Some(b'#') => break i,
+                Some(b'?') => {
+                    query_mark = Some(i);
+                    stop &= !QUERY;
+                }
+                Some(b'A'..=b'Z') => {
+                    upper = true;
+                    stop &= !UPPER;
+                }
+                Some(_) => return Err(ParseError::BadChar),
+            }
+            i += 1;
+        };
+        if skip(bytes, fragment, FORBIDDEN) < bytes.len() {
             return Err(ParseError::BadChar);
         }
-        let (scheme_str, rest) = input.split_once(':').ok_or(ParseError::BadScheme)?;
-        let scheme = [Scheme::Http, Scheme::Https, Scheme::Ws, Scheme::Wss]
-            .into_iter()
-            .find(|s| scheme_str.eq_ignore_ascii_case(s.as_str()))
-            .ok_or(ParseError::BadScheme)?;
-        let rest = rest
-            .strip_prefix("//")
-            .ok_or(ParseError::MissingSeparator)?;
-        // One scan of the authority: where it ends (at the path, query or
-        // fragment), its last `@` (userinfo is dropped, rare but cheap to
-        // support) and the last `:` after that `@` (the port separator).
-        let mut authority_end = rest.len();
-        let mut host_start = 0;
-        let mut colon = None;
-        for (i, b) in rest.bytes().enumerate() {
-            match b {
-                b'/' | b'?' | b'#' => {
-                    authority_end = i;
-                    break;
-                }
-                b'@' => {
-                    host_start = i + 1;
-                    colon = None;
-                }
-                b':' => colon = Some(i),
-                _ => {}
-            }
-        }
-        let tail = &rest[authority_end..];
-        let (host_str, port) = match colon {
+        let (host, port) = match port_colon {
             // An empty port leaves the `:` in the host, which rejects it.
             Some(c) if c + 1 < authority_end => (
-                &rest[host_start..c],
-                parse_port(&rest[c + 1..authority_end])?,
+                &input[host_start..c],
+                parse_port(&input[c + 1..authority_end])?,
             ),
-            _ => (&rest[host_start..authority_end], scheme.default_port()),
+            _ => (&input[host_start..authority_end], scheme.default_port()),
         };
-        let host = Host::parse(host_str).map_err(ParseError::BadHost)?;
-        // Split path / query, drop fragment. Trailing whitespace is ignored
-        // on the URL as `Display` renders it — no fragment, no empty `?` —
-        // just as it is at the end of the input, so that parsing a
-        // rendered URL gives the same URL back.
-        let tail = tail.split('#').next().unwrap_or("");
-        let (path, query) = match tail.split_once('?') {
-            Some((p, q)) => (p, q.trim_end()),
-            None => (tail, ""),
+        let ipv4 = matches!(
+            validate(host).map_err(ParseError::BadHost)?,
+            HostKind::Ipv4(_)
+        );
+        // Trailing whitespace is ignored on the URL as it renders — no
+        // fragment, no empty `?` — just as it is at the end of the input,
+        // so that parsing a rendered URL gives the same URL back.
+        let (path, query) = match query_mark {
+            Some(q) => (&input[authority_end..q], input[q + 1..fragment].trim_end()),
+            None => (&input[authority_end..fragment], ""),
         };
         let path = if query.is_empty() {
             path.trim_end()
         } else {
             path
         };
-        let path = if path.is_empty() { "/" } else { path };
-        let mut path_query = String::with_capacity(path.len() + query.len());
-        path_query.push_str(path);
-        let query_at = path_query.len();
-        path_query.push_str(query);
+
+        let (text, host_end, path_start, query_at) = if host_start == colon + 3
+            && host_start + host.len() == authority_end
+            && !path.is_empty()
+        {
+            // No userinfo, no port and a path: the text is the input's
+            // head, with the scheme and host lower-cased.
+            let query_at = authority_end + path.len();
+            let end = if query.is_empty() {
+                query_at
+            } else {
+                query_at + 1 + query.len()
+            };
+            let mut text = String::from(&input[..end]);
+            text[..authority_end].make_ascii_lowercase();
+            (text, authority_end, authority_end, query_at)
+        } else {
+            let path = if path.is_empty() { "/" } else { path };
+            let explicit_port = port != scheme.default_port();
+            let port_len = if explicit_port {
+                2 + port.checked_ilog10().unwrap_or(0) as usize
+            } else {
+                0
+            };
+            let query_len = if query.is_empty() { 0 } else { 1 + query.len() };
+            let mut text = String::with_capacity(
+                scheme.as_str().len() + 3 + host.len() + port_len + path.len() + query_len,
+            );
+            text.push_str(scheme.as_str());
+            text.push_str("://");
+            text.push_str(host);
+            text[scheme.as_str().len() + 3..].make_ascii_lowercase();
+            let host_end = text.len();
+            if explicit_port {
+                write!(text, ":{port}").expect("writing to a String cannot fail");
+            }
+            let path_start = text.len();
+            text.push_str(path);
+            let query_at = text.len();
+            if !query.is_empty() {
+                text.push('?');
+                text.push_str(query);
+            }
+            (text, host_end, path_start, query_at)
+        };
         Ok(Url {
-            scheme,
-            host,
+            host_end: host_end as u32,
+            path_start: path_start as u32,
+            query_at: query_at as u32,
+            text,
             port,
-            path_query,
-            query_at,
+            scheme,
+            ipv4,
+            upper,
         })
+    }
+
+    /// The canonical text: exactly what `Display` renders.
+    pub fn as_str(&self) -> &str {
+        &self.text
+    }
+
+    /// `true` when [`Url::as_str`] has an ASCII upper-case byte; only the
+    /// path and query can have one.
+    pub fn has_uppercase(&self) -> bool {
+        self.upper
     }
 
     /// The URL scheme.
@@ -187,18 +349,10 @@ impl Url {
         self.scheme
     }
 
-    /// The validated host.
-    pub fn host(&self) -> &Host {
-        &self.host
-    }
-
-    /// Host text, borrowed: the domain name, or the pre-rendered dotted
-    /// quad for IPv4 literals. Never allocates — this sits on the
-    /// per-request hot path (cookie lookup, handshake construction,
-    /// partner resolution), where the old `String` return was one of the
-    /// pipeline's dominant allocation sources.
+    /// Host text, borrowed: the lower-case domain name, or the dotted
+    /// quad of an IPv4 literal.
     pub fn host_str(&self) -> &str {
-        self.host.as_text()
+        &self.text[self.scheme.as_str().len() + 3..self.host_end as usize]
     }
 
     /// Effective port (explicit, or the scheme default).
@@ -208,16 +362,12 @@ impl Url {
 
     /// Path, always starting with `/`.
     pub fn path(&self) -> &str {
-        &self.path_query[..self.query_at]
+        &self.text[self.path_start as usize..self.query_at as usize]
     }
 
     /// Query string without `?`, or `None` if empty.
     pub fn query(&self) -> Option<&str> {
-        if self.query_at == self.path_query.len() {
-            None
-        } else {
-            Some(&self.path_query[self.query_at..])
-        }
+        self.text.get(self.query_at as usize + 1..)
     }
 
     /// Second-level (registrable) domain of the host, if it is a DNS name.
@@ -225,12 +375,19 @@ impl Url {
     /// This is the key used throughout the analysis: initiators, receivers
     /// and A&A labels are all aggregated to this granularity (§3.2).
     pub fn second_level_domain(&self) -> Option<&str> {
-        self.host.second_level_domain()
+        (!self.ipv4).then(|| crate::psl::second_level_domain(self.host_str()))
     }
 
     /// The origin (scheme, host, port) of this URL.
     pub fn origin(&self) -> crate::Origin {
-        crate::Origin::new(self.scheme, self.host.clone(), self.port)
+        let host = Host::parse(self.host_str()).expect("a parsed URL's host is valid");
+        crate::Origin::new(self.scheme, host, self.port)
+    }
+
+    /// The origin's text, `scheme://host[:port]`, borrowed: what
+    /// [`Url::origin`] renders.
+    pub fn origin_str(&self) -> &str {
+        &self.text[..self.path_start as usize]
     }
 
     /// `true` if this is a `ws://` or `wss://` URL.
@@ -252,7 +409,7 @@ impl Url {
         if let Some(rest) = reference.strip_prefix("//") {
             return Url::parse(&format!("{}://{}", self.scheme, rest));
         }
-        let base = format!("{}://{}:{}", self.scheme, self.host, self.port);
+        let base = self.origin_str();
         if reference.starts_with('/') {
             return Url::parse(&format!("{base}{reference}"));
         }
@@ -262,6 +419,20 @@ impl Url {
             None => "/",
         };
         Url::parse(&format!("{base}{dir}{reference}"))
+    }
+}
+
+impl PartialEq for Url {
+    fn eq(&self, other: &Url) -> bool {
+        self.text == other.text
+    }
+}
+
+impl Eq for Url {}
+
+impl std::hash::Hash for Url {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.text.hash(state);
     }
 }
 
@@ -280,15 +451,7 @@ fn parse_port(digits: &str) -> Result<u16, ParseError> {
 
 impl fmt::Display for Url {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}://{}", self.scheme, self.host)?;
-        if self.port != self.scheme.default_port() {
-            write!(f, ":{}", self.port)?;
-        }
-        f.write_str(self.path())?;
-        if let Some(q) = self.query() {
-            write!(f, "?{q}")?;
-        }
-        Ok(())
+        f.write_str(&self.text)
     }
 }
 
@@ -419,8 +582,48 @@ mod tests {
     }
 
     #[test]
+    fn the_text_is_canonical_and_the_parts_borrow_it() {
+        for (input, text, origin, upper) in [
+            (
+                "http://x.example/a?b",
+                "http://x.example/a?b",
+                "http://x.example",
+                false,
+            ),
+            (
+                "HTTP://Ads.Example:80/A?B#c",
+                "http://ads.example/A?B",
+                "http://ads.example",
+                true,
+            ),
+            (
+                "wss://u:p@X.example:08443",
+                "wss://x.example:8443/",
+                "wss://x.example:8443",
+                false,
+            ),
+            (
+                "ws://10.0.0.1:80/s?",
+                "ws://10.0.0.1/s",
+                "ws://10.0.0.1",
+                false,
+            ),
+        ] {
+            let u = Url::parse(input).unwrap();
+            assert_eq!(u.as_str(), text, "{input}");
+            assert_eq!(u.to_string(), text, "{input}");
+            assert_eq!(u.origin_str(), origin, "{input}");
+            assert_eq!(u.origin().to_string(), origin, "{input}");
+            assert_eq!(u.has_uppercase(), upper, "{input}");
+            assert_eq!(Url::parse(text).unwrap(), u, "{input}");
+        }
+    }
+
+    #[test]
     fn sld_via_url() {
         let u = Url::parse("https://x.doubleclick.net/ads").unwrap();
         assert_eq!(u.second_level_domain(), Some("doubleclick.net"));
+        let ip = Url::parse("wss://10.0.0.1/s").unwrap();
+        assert_eq!(ip.second_level_domain(), None);
     }
 }

@@ -88,7 +88,7 @@ fn main() {
     let chain: Vec<&str> = tree
         .chain(socket.id)
         .iter()
-        .map(|n| n.host.as_str())
+        .map(|n| tree.host(n.id))
         .collect();
     println!("inclusion chain: {}", chain.join(" -> "));
     let ws = socket.ws.as_ref().unwrap();

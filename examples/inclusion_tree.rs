@@ -83,7 +83,7 @@ fn main() {
     let chain: Vec<&str> = tree
         .chain(socket.id)
         .iter()
-        .map(|n| n.url.as_str())
+        .map(|n| tree.url_text(n.id))
         .collect();
     println!("WebSocket attribution chain: {}", chain.join("  ->  "));
     println!();

@@ -89,7 +89,7 @@ fn main() {
     let socket = tree.websockets().next().expect("replay socket");
     let transcript = socket.ws.as_ref().expect("transcript");
 
-    println!("session-replay socket: {}", socket.url);
+    println!("session-replay socket: {}", tree.url_text(socket.id));
     let payload = transcript.sent[0].as_text().expect("text frame");
     println!("uploaded payload size: {} bytes\n", payload.len());
 

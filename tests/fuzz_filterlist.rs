@@ -305,7 +305,7 @@ fn fuzz_page_facts_agree_with_evaluate() {
                 resource_type,
             };
             assert_eq!(
-                engine.evaluate_on(&facts, &url, resource_type),
+                engine.evaluate_on(&facts, &url, url.second_level_domain(), resource_type),
                 engine.evaluate(&ctx),
                 "case {case}: list {list:?} url {url} page {page} type {resource_type:?}"
             );

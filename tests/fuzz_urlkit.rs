@@ -16,11 +16,15 @@
 //!   fail with the same [`ParseError`];
 //! * the one-pass `Url::parse` and `Host::parse` and the suffix-first
 //!   `second_level_domain` give exactly the answers, errors included, of
-//!   the label-by-label forms they replaced, kept below in [`oracle`]:
-//!   on every public-suffix entry with zero to five labels prepended,
-//!   and on URLs built from the shapes where the two could part
-//!   (userinfo, odd ports, near-IPv4 hosts, Unicode whitespace, non-ASCII
-//!   and upper-case hosts, empty labels, hosts of one to six labels, label
+//!   the label-by-label forms they replaced, kept below in [`oracle`],
+//!   and a parsed URL's text is exactly the oracle's rendering of its
+//!   parts: on every public-suffix entry with zero to five labels
+//!   prepended, on hosts at the edges of the one-scan host check
+//!   (digit-final last labels, 63- and 64-byte labels, 253- and 254-byte
+//!   names, hyphens and dots at label edges, `_` inside labels), and on
+//!   URLs built from the shapes where the two could part (userinfo, odd
+//!   ports, near-IPv4 hosts, Unicode whitespace, non-ASCII and
+//!   upper-case hosts, empty labels, hosts of one to six labels, label
 //!   and name length limits, leading and trailing dots).
 //!
 //! Mirrors `tests/fuzz_wsproto.rs`: every case derives from the vendored
@@ -464,12 +468,11 @@ fn diff_url(rng: &mut TestRng) -> String {
     format!("{front}{scheme}://{user}{host}{port}{tail}{back}")
 }
 
-/// The parts of a URL that its equality compares: path and query
-/// together fix the path-and-query buffer and where the query starts.
+/// The parts of a parsed URL, in the oracle's terms.
 fn parts(u: &Url) -> oracle::Parts {
     (
         u.scheme(),
-        u.host().clone(),
+        Host::parse(u.host_str()).expect("a parsed URL's host parses"),
         u.port(),
         u.path().to_string(),
         u.query().map(str::to_string),
@@ -477,13 +480,21 @@ fn parts(u: &Url) -> oracle::Parts {
 }
 
 /// Asserts the URL, host and registrable-domain answers for `input`
-/// equal the oracles'.
+/// equal the oracles', and the URL's text the oracle's rendering.
 fn assert_matches_oracles(input: &str, host: &str, case: u64) {
+    let (got, want) = (Url::parse(input), oracle::url_parse(input));
     assert_eq!(
-        Url::parse(input).map(|u| parts(&u)),
-        oracle::url_parse(input),
+        got.as_ref().map(parts).map_err(Clone::clone),
+        want,
         "case {case}: Url::parse({input:?})"
     );
+    if let (Ok(u), Ok(want)) = (&got, &want) {
+        assert_eq!(
+            u.as_str(),
+            oracle::render(want),
+            "case {case}: Url::parse({input:?}).as_str()"
+        );
+    }
     assert_eq!(
         Host::parse(host),
         oracle::host_parse(host),
@@ -511,6 +522,72 @@ fn fuzz_parsers_match_the_replaced_forms() {
                 format!("{host}."),
             ] {
                 assert_matches_oracles(&format!("http://{host}/"), &host, 0);
+            }
+        }
+    }
+    // Hosts at the edges of the one-scan host check: digit-final last
+    // labels (IPv4 or not), 63- and 64-byte labels, 253- and 254-byte
+    // names, hyphens and dots at label edges, and `_` inside labels; each
+    // bare and inside URLs, in lower and mixed case.
+    let (l63, l64) = ("e".repeat(63), "f".repeat(64));
+    let mut edges = vec![
+        "a.b1".to_string(),
+        "x.example9".into(),
+        "example.123".into(),
+        "a.0".into(),
+        "9".into(),
+        "1.2.3".into(),
+        "1.2.3.4".into(),
+        "1.2.3.4.5".into(),
+        "1.2.3.04".into(),
+        "0.0.0.0".into(),
+        "255.255.255.255".into(),
+        "256.255.255.255".into(),
+        "1.2.3.4a".into(),
+        "-a.example".into(),
+        "a-.example".into(),
+        "a.-b".into(),
+        "a.b-".into(),
+        "a--b.example".into(),
+        "-".into(),
+        ".".into(),
+        ".a".into(),
+        "a.".into(),
+        "a..b".into(),
+        "_".into(),
+        "_a._b".into(),
+        "a_.b_".into(),
+        "a_b.example".into(),
+        "_dmarc.x-y.example".into(),
+        "a-_-b.c_d".into(),
+        l63.clone(),
+        l64.clone(),
+        format!("{l63}.example"),
+        format!("{l64}.example"),
+        format!("x.{l63}"),
+        format!("x.{l64}"),
+        format!("x.{l63}.y"),
+        format!("x.{l64}.y"),
+        format!("-{}.example", &l63[1..]),
+        format!("{}-.example", &l63[1..]),
+    ];
+    for len in [252, 253, 254] {
+        let name = name_of_len(len);
+        edges.push(format!("{}1", &name[..len - 1]));
+        edges.push(format!("{}-", &name[..len - 1]));
+        edges.push(format!("{}_", &name[..len - 1]));
+        edges.push(format!("{}.", &name[..len - 1]));
+        edges.push(name);
+    }
+    let mut rng = TestRng::for_case("url_oracle_edges", 0);
+    for host in &edges {
+        for host in [host.clone(), mixed_case(&mut rng, host)] {
+            for url in [
+                format!("http://{host}/"),
+                format!("wss://u@{host}:443/p?q#f"),
+                format!("HTTPS://{host}:8443"),
+            ] {
+                assert_matches_oracles(&url, &host, 0);
             }
         }
     }
@@ -546,6 +623,22 @@ mod oracle {
 
     /// Scheme, host, port, path and query of a parsed URL.
     pub type Parts = (Scheme, Host, u16, String, Option<String>);
+
+    /// The text a URL of these parts renders to:
+    /// `scheme://host[:port]path[?query]`, the port only when it is not
+    /// the scheme's default.
+    pub fn render((scheme, host, port, path, query): &Parts) -> String {
+        let mut text = format!("{scheme}://{host}");
+        if *port != scheme.default_port() {
+            text.push_str(&format!(":{port}"));
+        }
+        text.push_str(path);
+        if let Some(query) = query {
+            text.push('?');
+            text.push_str(query);
+        }
+        text
+    }
 
     pub fn url_parse(input: &str) -> Result<Parts, ParseError> {
         let input = input.trim();

@@ -104,7 +104,7 @@ fn full_pipeline_attributes_and_classifies() {
     let lib = PiiLibrary::new();
     let socket_node = tree
         .websockets()
-        .find(|n| n.host.contains("sneaky-ads"))
+        .find(|n| tree.host(n.id).contains("sneaky-ads"))
         .unwrap();
     let ws = socket_node.ws.as_ref().unwrap();
     let payload = ws.sent[0].as_text().unwrap();
@@ -138,7 +138,7 @@ fn wrb_blocks_http_but_not_sockets_pre_58() {
     assert!(tree
         .nodes()
         .iter()
-        .any(|n| n.kind == NodeKind::Blocked && n.url.contains("loader.js")));
+        .any(|n| n.kind == NodeKind::Blocked && tree.url_text(n.id).contains("loader.js")));
     // …and the unlisted first-party chat socket is untouched.
     assert_eq!(tree.websockets().count(), 1);
 }

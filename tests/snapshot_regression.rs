@@ -14,7 +14,7 @@
 use sockscope::analysis::snapshot::{SnapshotError, StudySnapshot, SNAPSHOT_VERSION};
 use sockscope::analysis::PiiLibrary;
 use sockscope::crawler::crawl_reference;
-use sockscope::filterlist::{Decision, RequestContext, ResourceType};
+use sockscope::filterlist::{Decision, PageFacts, RequestContext, ResourceType};
 use sockscope::inclusion::NodeKind;
 use sockscope::{Study, StudyConfig, StudyReport};
 use sockscope_journal::{
@@ -102,8 +102,10 @@ fn optimized_matchers_reproduce_the_pinned_snapshot() {
 /// behind them. The pin's universe is crawled era by era with the
 /// reference crawler, and the crawl's own traffic is raced through each
 /// optimised matcher and its linear reference: Script/Image/Xhr requests
-/// through `Engine::evaluate` and `evaluate_reference` (the winning rule
-/// index included), and `=`-bearing URLs, WebSocket handshakes and sent
+/// through `Engine::evaluate`, through `evaluate_on` with the registrable
+/// domain the inclusion tree memoised per host, and through
+/// `evaluate_reference` (the winning rule index included), and
+/// `=`-bearing URLs, WebSocket handshakes and sent
 /// text frames through `classify_sent_text` and
 /// `classify_sent_text_reference`, message by message.
 #[test]
@@ -149,26 +151,35 @@ fn optimized_matchers_agree_with_their_references_on_crawl_traffic() {
                 }
                 _ => continue,
             };
-            if node.url.contains('=') {
-                messages.push(node.url.as_str());
+            let text = tree.url_text(node.id);
+            if text.contains('=') {
+                messages.push(text);
             }
             if let (Some(page), Some(url)) = (page, tree.url(node.id)) {
-                requests.push(RequestContext {
+                let ctx = RequestContext {
                     url,
                     page,
                     resource_type,
-                });
+                };
+                requests.push((ctx, tree.registrable_domain(node.id)));
             }
         }
     }
 
     let mut blocked = 0;
-    for ctx in requests.iter().step_by(request_stride) {
+    for (ctx, url_sld) in requests.iter().step_by(request_stride) {
         let decision = engine.evaluate(ctx);
+        let reference = engine.evaluate_reference(ctx);
         assert_eq!(
-            decision,
-            engine.evaluate_reference(ctx),
+            decision, reference,
             "decision on {} from {}",
+            ctx.url, ctx.page
+        );
+        let page = PageFacts::new(ctx.page);
+        assert_eq!(
+            engine.evaluate_on(&page, ctx.url, *url_sld, ctx.resource_type),
+            reference,
+            "memoised-domain decision on {} from {}",
             ctx.url,
             ctx.page
         );
