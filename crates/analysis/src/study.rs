@@ -4,16 +4,18 @@
 //!
 //! 1. generate the synthetic web (one universe, four crawl eras);
 //! 2. crawl each era with the instrumented browser, driven by the
-//!    **work-stealing pipelined orchestrator**
+//!    **ordered-ticket pipelined orchestrator**
 //!    ([`sockscope_crawler::crawl_orchestrated`]): each worker owns a
 //!    private stream-fused [`FusedShard`](crate::fused::FusedShard) that
 //!    the browser pushes CDP events into as it emits them — payload bytes
 //!    are classified and dropped on the spot, no
 //!    [`SiteRecord`](sockscope_crawler::SiteRecord) is ever materialized,
-//!    and the per-site hot path takes no lock. Finished per-site
-//!    reductions flow through a bounded queue to a reduce stage that
-//!    folds them in ascending site order and normalizes, which makes the
-//!    result independent of worker count, steal order, and queue sizes;
+//!    and the per-site hot path takes no lock. Workers claim sites in
+//!    ascending order from one shared counter, and each finished per-site
+//!    reduction lands in its position's slot of a ring that a reduce stage
+//!    folds in ascending site order and normalizes, which makes the
+//!    result independent of worker count, completion order, and queue
+//!    depth;
 //! 3. pool the labeling observations and build the A&A domain set `D'`
 //!    (10% threshold + Cloudfront overrides, §3.2);
 //! 4. expose classified sockets and aggregates to the table/figure
@@ -51,7 +53,9 @@ pub struct StudyConfig {
     /// `queue_depth`, scheduling-only and excluded from checkpoint
     /// fingerprints.
     pub workers: Option<usize>,
-    /// Orchestrator result-queue capacity (backpressure depth).
+    /// Orchestrator backpressure depth: finished sites that may wait for
+    /// the reducer beyond one per worker (in-flight cap =
+    /// `workers + queue_depth`).
     pub queue_depth: usize,
     /// The crawl schedule. Defaults to the pinned four-crawl paper preset
     /// ([`EraTimeline::paper`]); longitudinal runs swap in
@@ -115,7 +119,7 @@ pub struct Study {
 
 impl Study {
     /// Runs the full study: every era of the timeline crawled by the
-    /// work-stealing pipelined orchestrator over stream-fused per-worker
+    /// ordered-ticket pipelined orchestrator over stream-fused per-worker
     /// shards, folded in ascending site order and normalized.
     pub fn run(config: &StudyConfig) -> Study {
         let web = Study::universe(config);
@@ -139,7 +143,7 @@ impl Study {
         Study::assemble(&web, base_engine, reductions)
     }
 
-    /// Crawls the era `era_web` was built for with the work-stealing
+    /// Crawls the era `era_web` was built for with the ordered-ticket
     /// orchestrator: each worker owns a stream-fused shard that classifies
     /// against `engine`, and the reduce stage folds the per-site
     /// reductions in ascending site order, then normalizes.

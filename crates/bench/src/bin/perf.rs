@@ -162,7 +162,7 @@ struct Supervision {
 struct Stages {
     universe: StageReport,
     filters: StageReport,
-    /// The crawl driver: the work-stealing pipelined orchestrator over
+    /// The crawl driver: the ordered-ticket pipelined orchestrator over
     /// the stream-fused crawl+classify+reduce pipeline.
     orchestrated_pipeline: StageReport,
 }
@@ -174,7 +174,7 @@ struct Stages {
 struct OrchestratorReport {
     /// Crawl workers the orchestrated stage ran with.
     workers: usize,
-    /// Bounded hand-off queue capacity between crawl and reduce.
+    /// Backpressure depth: in-flight cap = `workers + queue_depth`.
     queue_depth: usize,
     /// Universe size of the headline run (0 = not run).
     headline_sites: usize,

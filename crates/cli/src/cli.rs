@@ -111,8 +111,9 @@ OPTIONS:
   --from FILE     analyze a saved snapshot instead of re-crawling
   --workers N     orchestrator crawl workers (default: --threads); the
                   output is byte-identical for every worker count
-  --queue-depth N bounded hand-off queue capacity between the crawl and
-                  reduce stages (default 64); scheduling-only knob
+  --queue-depth N finished sites that may wait for the reducer beyond one
+                  per worker (default 64): at most workers + N sites are
+                  in flight; scheduling-only knob
   --faults PROF   inject seeded deterministic faults during the crawl:
                   none | mild | heavy | poison (default none). Transport
                   profiles (mild/heavy) degrade pages; poison injects

@@ -15,11 +15,12 @@
 //! the synthetic web has no rate limits, and determinism is a feature.
 //!
 //! There is one crawl driver: [`crawl_orchestrated`] /
-//! [`crawl_orchestrated_resumable`] ([`orchestrator`]). Workers steal
-//! sites from each other, stream each site's CDP events into a private
-//! [`SiteSink`] the moment the browser emits them, and hand finished
-//! per-site results through a bounded queue to a reducer that folds them
-//! in ascending site order, so the output never depends on scheduling.
+//! [`crawl_orchestrated_resumable`] ([`orchestrator`]). Workers claim
+//! sites in ascending order from one shared counter, stream each site's
+//! CDP events into a private [`SiteSink`] the moment the browser emits
+//! them, and hand finished per-site results into a ring of slots that a
+//! reducer folds in ascending site order, so the output never depends on
+//! scheduling.
 //!
 //! Every site — orchestrated or not — runs through one frontier/fault
 //! loop (`drive_site`). [`crawl_reference`] is the serial,

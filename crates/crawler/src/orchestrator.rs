@@ -1,47 +1,39 @@
-//! Work-stealing, pipelined crawl orchestrator: the crawler's one driver.
+//! Pipelined crawl orchestrator: the crawler's one driver.
 //!
 //! Binding whole shards to workers would let a worker that draws a slow
 //! shard finish long after the others go idle. The orchestrator instead
 //! schedules *per site* while keeping the merged output independent of
 //! the schedule:
 //!
-//! * **visit/classify** — each worker owns a deque of site positions
-//!   (dealt round-robin, ascending). It pops its own front, steals a
-//!   victim's back when empty, and runs the one shared per-site driver
+//! * **visit/classify** — each worker takes the next site position from
+//!   one shared [`TicketRing`] counter (so positions go out in ascending
+//!   order) and runs the one shared per-site driver
 //!   ([`crawl_one_site_sink`]) into its private [`SiteSink`] — so
 //!   classification happens on the worker, lock-free.
-//! * **reduce** — finished per-site results flow through one bounded MPMC
-//!   queue (backpressure: workers block when the reducer lags) to a
-//!   single reducer that re-sequences them by site position and folds
-//!   them **in ascending site order** into per-shard accumulators.
-//! * **in-flight cap** — an admission window `[base, base+cap)` over site
-//!   positions bounds how far any worker may run ahead of the fold
-//!   point, which caps the reducer's reorder buffer and hence peak
-//!   memory, independent of worker count.
+//! * **reduce** — a worker hands its finished per-site result into the
+//!   ring's slot for that position; a single reducer takes the slots in
+//!   position order and folds them **in ascending site order** into
+//!   per-shard accumulators.
+//! * **in-flight cap** — a worker may only start position `p` while
+//!   `p < base + cap`, where `base` is the next position to fold. That
+//!   bounds how far any worker may run ahead of the fold point, which
+//!   caps the finished-but-unfolded results and hence peak memory,
+//!   independent of worker count.
 //!
 //! Determinism: per-site output depends only on `(universe, config, site)`
 //! — never on which worker crawls it — and the reducer folds sites in
 //! ascending order, which the `CrawlReduction` monoid (stable-sort
 //! normalized, per-site payloads contiguous) maps to the same bytes as
 //! reducing [`crawl_reference`](crate::crawl_reference)'s records in
-//! site order. Steal order, queue depth, and worker
-//! count can only change *timing*, never the fold sequence. The liveness
-//! argument for the admission window lives in `DESIGN.md` §10.
-
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
+//! site order. Worker count, the in-flight cap and completion order can
+//! only change *timing*, never the fold sequence. The liveness argument
+//! lives in `DESIGN.md` §10.
 
 use sockscope_browser::ExtensionHost;
-use sockscope_exec::{Admission, AdmissionWindow, BoundedQueue, ChaosSchedule, StealDeques};
+use sockscope_exec::{ChaosSchedule, TicketRing};
 use sockscope_webgen::SyntheticWeb;
 
 use crate::{crawl_browser, crawl_one_site_sink, supervise_site, CrawlConfig, SiteSink};
-
-/// How long a worker waits for the admission window before giving the
-/// claimed position back and claiming its locally-smallest one instead.
-/// Only adversarial (chaos-scheduled) claim orders ever hit this path.
-const ADMIT_PATIENCE: Duration = Duration::from_millis(2);
 
 /// Concurrency surface of the orchestrator, separate from [`CrawlConfig`]
 /// because none of these knobs may influence crawl *output* — they are
@@ -51,14 +43,16 @@ const ADMIT_PATIENCE: Duration = Duration::from_millis(2);
 pub struct OrchestratorConfig {
     /// Crawl worker threads (the visit/classify stage). Clamped to ≥ 1.
     pub workers: usize,
-    /// Capacity of the worker→reducer result queue. Small values trade
-    /// throughput for tighter backpressure; clamped to ≥ 1.
+    /// Finished sites that may wait for the reducer beyond one per
+    /// worker: the auto in-flight cap is `workers + queue_depth`. Small
+    /// values trade throughput for tighter backpressure; clamped to ≥ 1.
     pub queue_depth: usize,
-    /// Global cap on sites past admission but not yet folded (the reorder
-    /// bound). `0` means auto: `workers + queue_depth`.
+    /// Global cap on sites past admission but not yet folded: the ring's
+    /// slot count. `0` means auto: `workers + queue_depth`.
     pub in_flight: usize,
-    /// Install the seeded scheduling adversary: perturb claim order and
-    /// inject yields. Test-only; `None` in production.
+    /// Install the seeded scheduling adversary: inject yields before each
+    /// claim and each hand-in, permuting completion order. Test-only;
+    /// `None` in production.
     pub chaos_seed: Option<u64>,
     /// Run every site under the supervisor ([`supervise_site`]): panic
     /// isolation, visit-step deadline, allocation budget, deterministic
@@ -83,9 +77,10 @@ impl Default for OrchestratorConfig {
 }
 
 impl OrchestratorConfig {
-    /// The effective in-flight cap: the explicit value, floored at the
-    /// worker count (a smaller cap would only idle workers), or
-    /// `workers + queue_depth` when auto.
+    /// The effective in-flight cap: the explicit value, floored at 1, or
+    /// `workers + queue_depth` when auto. An explicit cap below the worker
+    /// count is allowed; it idles workers, which the chaos tests use to
+    /// force window-full stalls.
     pub fn effective_in_flight(&self) -> usize {
         let workers = self.workers.max(1);
         if self.in_flight == 0 {
@@ -140,19 +135,21 @@ where
 /// Shard `s` owns sites `i % shard_count == s`; `skip(s)` elides shards
 /// recovered from a journal (their slot returns `None`), and
 /// `persist(s, &acc)` fires the moment shard `s`'s last site folds. Sites
-/// are crawled by whichever worker steals them, and `persist` runs on the
+/// are crawled by whichever worker claims them, and `persist` runs on the
 /// reducer thread, off the visit hot path.
 ///
 /// Per worker, `make_worker()` builds the stage-private [`SiteSink`]
 /// (classification state); after each site, `take_site` extracts that
-/// site's finished result `R`, which travels through the bounded queue to
-/// the reducer and is folded with `fold` in ascending site order.
+/// site's finished result `R`, which is handed into the ring and folded
+/// with `fold` in ascending site order.
 ///
-/// `abort()` is polled at claim and admission boundaries: once it returns
-/// true (e.g. a simulated crash marked the run dead), workers wind down
-/// without crawling further sites and the partially folded accumulators
-/// are returned as-is — the checkpoint journal, not the return value, is
-/// the source of truth on that path.
+/// `abort()` is polled by workers at each claim and by the reducer after
+/// each fold and persist: once it returns true (e.g. a simulated crash
+/// marked the run dead), the crawl winds down without crawling further
+/// sites and the partially folded accumulators are returned as-is — the
+/// checkpoint journal, not the return value, is the source of truth on
+/// that path. A panic on any thread closes the ring too, so the others
+/// stop and the panic resurfaces from this call.
 #[allow(clippy::too_many_arguments)]
 pub fn crawl_orchestrated_resumable<C, R, A>(
     web: &SyntheticWeb,
@@ -179,49 +176,35 @@ where
 
     // The work list: every site of a shard that was not recovered, in
     // ascending order. Position in this list — not raw site id — is the
-    // sequencing currency of the window, the deques, and the reducer.
+    // ticket the ring hands out and the reducer folds by.
     let todo: Vec<usize> = (0..n).filter(|i| !skip(i % shard_count)).collect();
     let total = todo.len();
 
-    let queue: BoundedQueue<(usize, R)> = BoundedQueue::new(orch.queue_depth);
-    let window = AdmissionWindow::new(orch.effective_in_flight());
-    let deques = StealDeques::deal(workers, total);
+    let ring: TicketRing<R> = TicketRing::new(orch.effective_in_flight());
     let chaos = orch.chaos_seed.map(ChaosSchedule::new);
-    let producers = AtomicUsize::new(workers);
 
     std::thread::scope(|scope| {
         for w in 0..workers {
-            let (todo, queue, window, deques, producers) =
-                (&todo, &queue, &window, &deques, &producers);
+            let (todo, ring) = (&todo, &ring);
             scope.spawn(move || {
+                // Armed until the counter runs out: a worker that leaves
+                // earlier (abort or panic) closes the ring for everyone.
+                let mut early_exit = CloseOnDrop(Some(ring));
                 let browser = crawl_browser(web, config, make_extensions());
                 let mut sink = make_worker();
                 let mut step = 0u64;
                 loop {
                     if abort() {
-                        break;
+                        return;
                     }
-                    let steal_first = chaos.as_ref().is_some_and(|c| c.steal_first(w, step));
-                    let Some(pos) = deques.next(w, steal_first) else {
-                        break;
-                    };
-                    if let Some(c) = &chaos {
-                        for _ in 0..c.yields(w, step) {
-                            std::thread::yield_now();
-                        }
+                    let pos = ring.claim();
+                    if pos >= total {
+                        early_exit.0 = None;
+                        return;
                     }
-                    step += 1;
-                    match window.admit(pos, ADMIT_PATIENCE, &|| abort()) {
-                        Admission::Admitted => {}
-                        Admission::Retry => {
-                            // Outside the window: give the position back
-                            // (sorted) and claim our local minimum instead —
-                            // the unclaim/retry dance that makes the window
-                            // deadlock-free under adversarial steal orders.
-                            deques.unclaim(w, pos);
-                            continue;
-                        }
-                        Admission::Aborted => break,
+                    shake(chaos.as_ref(), w, &mut step);
+                    if !ring.admit(pos) {
+                        return;
                     }
                     if orch.supervised {
                         // A quarantined site leaves nothing in the sink;
@@ -236,22 +219,18 @@ where
                         crawl_one_site_sink(web, config, &browser, todo[pos], &mut sink);
                     }
                     let site = take_site(&mut sink);
-                    if queue.push((pos, site)).is_err() {
-                        break;
-                    }
-                }
-                // Last producer out closes the queue so the reducer's
-                // drain loop terminates.
-                if producers.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    queue.close();
+                    shake(chaos.as_ref(), w, &mut step);
+                    ring.hand_in(pos, site);
                 }
             });
         }
 
-        // Reduce stage, on the calling thread: re-sequence by position,
-        // fold in ascending site order, persist each shard the moment its
-        // last site lands. Shard completion order is therefore itself
-        // deterministic — a shard finishes when its highest position folds.
+        // Reduce stage, on the calling thread: fold in ascending site
+        // order, persist each shard the moment its last site lands. Shard
+        // completion order is therefore itself deterministic — a shard
+        // finishes when its highest position folds. However it exits, the
+        // reducer closes the ring, which releases parked workers.
+        let _close = CloseOnDrop(Some(&ring));
         let mut accs: Vec<Option<A>> = (0..shard_count)
             .map(|s| (!skip(s)).then(|| make_shard(s)))
             .collect();
@@ -269,29 +248,46 @@ where
                 }
             }
         }
-        let mut pending: BTreeMap<usize, R> = BTreeMap::new();
-        let mut next_pos = 0usize;
-        while next_pos < total {
-            let Some((pos, site)) = queue.pop() else {
-                break; // aborted: producers closed the queue early
+        for &i in &todo {
+            let Some(site) = ring.take() else {
+                break; // a worker stopped early and closed the ring
             };
-            pending.insert(pos, site);
-            while let Some(site) = pending.remove(&next_pos) {
-                let shard = todo[next_pos] % shard_count;
-                let acc = accs[shard].as_mut().expect("unskipped shard has an acc");
-                fold(acc, site);
-                next_pos += 1;
-                window.advance_to(next_pos);
-                remaining[shard] -= 1;
-                if remaining[shard] == 0 {
-                    persist(shard, accs[shard].as_ref().expect("shard just folded"));
-                }
+            let shard = i % shard_count;
+            let acc = accs[shard].as_mut().expect("unskipped shard has an acc");
+            fold(acc, site);
+            ring.advance();
+            remaining[shard] -= 1;
+            if remaining[shard] == 0 {
+                persist(shard, accs[shard].as_ref().expect("shard just folded"));
+            }
+            if abort() {
+                break;
             }
         }
-        // Unblock producers still parked in push() if we bailed early.
-        queue.close();
         accs
     })
+}
+
+/// Closes the ring when dropped while it holds one, so a thread that
+/// leaves early — by abort or by unwinding — never strands the others.
+struct CloseOnDrop<'a, R>(Option<&'a TicketRing<R>>);
+
+impl<R> Drop for CloseOnDrop<'_, R> {
+    fn drop(&mut self) {
+        if let Some(ring) = self.0 {
+            ring.close();
+        }
+    }
+}
+
+/// Injects the chaos schedule's yields at worker `w`'s next yield point.
+fn shake(chaos: Option<&ChaosSchedule>, w: usize, step: &mut u64) {
+    if let Some(c) = chaos {
+        for _ in 0..c.yields(w, *step) {
+            std::thread::yield_now();
+        }
+        *step += 1;
+    }
 }
 
 #[cfg(test)]
@@ -300,6 +296,7 @@ mod tests {
     use crate::{browser_era, crawl_reference, RecordSink, SiteRecord};
     use sockscope_faults::FaultProfile;
     use sockscope_webgen::{SyntheticWeb, WebGenConfig};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn web(n: usize) -> SyntheticWeb {
         SyntheticWeb::new(WebGenConfig {
@@ -405,10 +402,10 @@ mod tests {
 
     #[test]
     fn all_workers_stalling_on_a_tight_window_stays_live() {
-        // Liveness regression for the admission window's unclaim/timeout
-        // path: many workers, an in-flight cap of 1, and a chaos schedule
-        // that steals aggressively put *every* worker outside the window
-        // at once. The unclaim/retry dance must still drain the crawl.
+        // Liveness at the tightest window: with eight workers, an
+        // in-flight cap of 1 and injected yields, at most one worker is
+        // ever inside the window and the rest park on it. The holder of
+        // the smallest unfolded position must still drain the crawl.
         let web = web(18);
         let config = CrawlConfig::default();
         let orch = OrchestratorConfig {
@@ -502,5 +499,51 @@ mod tests {
         let total: usize = out.iter().flatten().map(Vec::len).sum();
         assert!(total >= 5, "some sites folded before the abort: {total}");
         assert!(total < 40, "abort must cut the crawl short: {total}");
+    }
+
+    /// Runs a 30-site crawl (2 workers, queue depth 4) whose `take_site`
+    /// or `fold` panics part-way, on its own thread so that a hang fails
+    /// the test instead of stalling the suite. Returns whether the crawl
+    /// panicked, or `None` if it did not return within 30 s.
+    fn panicking_crawl(panic_in_fold: bool) -> Option<bool> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let web = web(30);
+            let config = CrawlConfig::default();
+            let orch = OrchestratorConfig {
+                workers: 2,
+                queue_depth: 4,
+                ..OrchestratorConfig::default()
+            };
+            let (taken, folded) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                crawl_orchestrated(
+                    &web,
+                    &config,
+                    &orch,
+                    &|| ExtensionHost::stock(browser_era(&web.config().era)),
+                    &RecordSink::default,
+                    &|sink: &mut RecordSink| {
+                        let call = taken.fetch_add(1, Ordering::Relaxed) + 1;
+                        assert!(panic_in_fold || call < 4, "take_site fails on call 4");
+                        sink.take_record().expect("one record per site")
+                    },
+                    &Vec::new,
+                    &|acc: &mut Vec<SiteRecord>, record| {
+                        let site = folded.fetch_add(1, Ordering::Relaxed) + 1;
+                        assert!(!panic_in_fold || site < 6, "fold fails at site 6");
+                        acc.push(record)
+                    },
+                )
+            }));
+            let _ = tx.send(outcome.is_err());
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(30)).ok()
+    }
+
+    #[test]
+    fn a_panic_outside_supervision_ends_the_crawl_instead_of_hanging_it() {
+        assert_eq!(panicking_crawl(false), Some(true), "panic in take_site");
+        assert_eq!(panicking_crawl(true), Some(true), "panic in fold");
     }
 }

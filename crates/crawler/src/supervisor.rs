@@ -228,7 +228,7 @@ impl<C: SiteSink> SiteSink for GuardedSink<'_, C> {
 /// `(config.seed, era, site.rank)`; a breached attempt tears the sink back
 /// to pristine and the retry re-derives the identical per-site seeds, so
 /// recovered sites are byte-identical to never-breached ones and the
-/// quarantine set is identical across worker counts and steal schedules.
+/// quarantine set is identical across worker counts and schedules.
 pub fn supervise_site<C: SiteSink>(
     web: &SyntheticWeb,
     config: &CrawlConfig,

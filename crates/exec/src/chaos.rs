@@ -1,12 +1,12 @@
 //! Seeded scheduling adversary for determinism stress tests.
 //!
 //! The byte-identity contract says the orchestrator's output is
-//! independent of claim order and queue timing. The way to *test* that is
-//! to make claim order hostile on purpose: a [`ChaosSchedule`] derives,
-//! from a seed, whether each claim should steal before popping its own
-//! deque and how many scheduler yields to inject, so a single-threaded CI
-//! box still explores steal-heavy, backpressure-heavy interleavings —
-//! reproducibly.
+//! independent of which worker crawls which site and of the order in
+//! which results arrive. The way to *test* that is to make the timing
+//! hostile on purpose: a [`ChaosSchedule`] derives, from a seed, how many
+//! scheduler yields to inject before each claim and each hand-in, so a
+//! single-threaded CI box still explores out-of-order completions and
+//! window-full stalls — reproducibly.
 
 /// The same split-mix style finalizer the fault subsystem uses: cheap,
 /// stateless, and fully determined by `(seed, stream)`.
@@ -33,14 +33,9 @@ impl ChaosSchedule {
         mix(self.seed ^ salt, ((worker as u64) << 40) ^ step)
     }
 
-    /// Should worker `worker`'s `step`-th claim try to steal before
-    /// popping its own deque? True roughly a third of the time.
-    pub fn steal_first(&self, worker: usize, step: u64) -> bool {
-        self.draw(worker, step, 0x57EA_1F12).is_multiple_of(3)
-    }
-
-    /// Number of `thread::yield_now` calls to inject before the claim
-    /// (0..=3), to shake up which thread wins each race.
+    /// Number of `thread::yield_now` calls to inject at worker `worker`'s
+    /// `step`-th yield point (0..=3), to shake up which thread wins each
+    /// race.
     pub fn yields(&self, worker: usize, step: u64) -> u32 {
         (self.draw(worker, step, 0x71E1_D000) % 4) as u32
     }
@@ -56,7 +51,6 @@ mod tests {
         let b = ChaosSchedule::new(42);
         for w in 0..4 {
             for step in 0..100 {
-                assert_eq!(a.steal_first(w, step), b.steal_first(w, step));
                 assert_eq!(a.yields(w, step), b.yields(w, step));
             }
         }
@@ -66,17 +60,7 @@ mod tests {
     fn different_seeds_disagree_somewhere() {
         let a = ChaosSchedule::new(1);
         let b = ChaosSchedule::new(2);
-        let diverged = (0..200u64).any(|s| a.steal_first(0, s) != b.steal_first(0, s));
+        let diverged = (0..200u64).any(|s| a.yields(0, s) != b.yields(0, s));
         assert!(diverged);
-    }
-
-    #[test]
-    fn both_claim_orders_occur() {
-        let c = ChaosSchedule::new(0xC0DE);
-        let steals = (0..300u64).filter(|&s| c.steal_first(1, s)).count();
-        assert!(
-            steals > 50 && steals < 250,
-            "steal_first rate degenerate: {steals}/300"
-        );
     }
 }

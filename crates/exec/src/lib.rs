@@ -1,23 +1,18 @@
 //! Execution primitives for the pipelined crawl orchestrator.
 //!
-//! This crate is deliberately tiny and dependency-free: it holds the four
-//! concurrency building blocks the orchestrator in `sockscope-crawler`
-//! composes, plus the counting allocator the bench harness and the
-//! bounded-memory regression tests share.
+//! This crate is deliberately tiny and dependency-free: it holds the one
+//! concurrency building block the orchestrator in `sockscope-crawler`
+//! uses, the adversary that stresses it, and the counting allocator the
+//! bench harness and the bounded-memory regression tests share.
 //!
-//! * [`BoundedQueue`] — a blocking MPMC channel with a hard capacity.
-//!   Producers park when the queue is full (backpressure), consumers park
-//!   when it is empty, and `close()` wakes everyone for shutdown.
-//! * [`AdmissionWindow`] — the global in-flight cap. Work items carry an
-//!   ascending position; a worker may only *start* position `p` while
-//!   `p < base + cap`, and the reducer advances `base` as it folds results
-//!   in order. This bounds the reorder buffer, not just the queue.
-//! * [`StealDeques`] — per-worker deques of positions dealt round-robin in
-//!   ascending order. Owners pop their front (their local minimum), thieves
-//!   take a victim's back (the victim's maximum), so every deque stays
-//!   sorted and the global minimum is always at some deque's front.
-//! * [`ChaosSchedule`] — a pure-hash adversary that perturbs claim order
-//!   and injects yields from a seed, used by the determinism stress tests.
+//! * [`TicketRing`] — one counter that hands out tickets in ascending
+//!   order and a ring of `cap` result slots. A worker may only start
+//!   ticket `t` while `t < base + cap`; the reducer takes slot `base`,
+//!   folds it and advances. That bounds the sites in flight and fixes
+//!   the fold order, with no timeout, for any cap and worker count.
+//! * [`ChaosSchedule`] — a pure-hash adversary that injects yields from a
+//!   seed, used by the determinism stress tests.
+//! * [`memmeter`] — the counting global allocator and per-stage meter.
 //!
 //! None of these primitives know anything about crawling; the determinism
 //! argument lives in `DESIGN.md` §10 next to the orchestrator that wires
@@ -25,13 +20,9 @@
 
 #![deny(unsafe_code)]
 
-pub mod chaos;
+mod chaos;
 pub mod memmeter;
-pub mod queue;
-pub mod steal;
-pub mod window;
+mod ring;
 
 pub use chaos::ChaosSchedule;
-pub use queue::{BoundedQueue, QueueClosed};
-pub use steal::StealDeques;
-pub use window::{Admission, AdmissionWindow};
+pub use ring::TicketRing;

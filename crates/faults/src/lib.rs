@@ -382,7 +382,7 @@ impl FaultPlan {
 ///
 /// `step` counts page visits within the site (0 = the homepage), so the
 /// hazard fires at a deterministic point of the crawl regardless of worker
-/// count or steal schedule.
+/// count or schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SiteHazard {
     /// The visit panics when page-visit step `step` begins.

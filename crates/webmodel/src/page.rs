@@ -126,11 +126,6 @@ impl Page {
         }
         out.push_str("</body></html>");
     }
-
-    /// Total number of scripts on the page.
-    pub fn script_count(&self) -> usize {
-        self.scripts.len()
-    }
 }
 
 #[cfg(test)]

@@ -1,8 +1,6 @@
 //! Base64 (RFC 4648, standard alphabet with padding), from scratch.
 //!
-//! Used for `Sec-WebSocket-Key` / `Sec-WebSocket-Accept`, and by the content
-//! analyzer to probe WebSocket payloads for base64-encoded media (§4.3: "we
-//! checked for binary and base64 encoded media files").
+//! Used for `Sec-WebSocket-Key` / `Sec-WebSocket-Accept`.
 
 const ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
 
@@ -98,17 +96,6 @@ pub fn decode(input: &str) -> Result<Vec<u8>, DecodeError> {
     Ok(out)
 }
 
-/// Heuristic: does `s` look like a base64-encoded blob of at least
-/// `min_len` characters? Used by the content analyzer to flag possible
-/// base64 media payloads in WebSocket messages.
-pub fn looks_like_base64(s: &str, min_len: usize) -> bool {
-    let s = s.trim();
-    s.len() >= min_len
-        && s.len().is_multiple_of(4)
-        && s.bytes().all(|b| value(b).is_some() || b == b'=')
-        && decode(s).is_ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,12 +128,5 @@ mod tests {
         assert_eq!(decode("abc"), Err(DecodeError::BadLength));
         assert_eq!(decode("a!cd"), Err(DecodeError::BadChar(b'!')));
         assert_eq!(decode("===="), Err(DecodeError::BadChar(b'=')));
-    }
-
-    #[test]
-    fn detector() {
-        assert!(looks_like_base64(&encode(&[7u8; 99]), 16));
-        assert!(!looks_like_base64("hello world this is text", 16));
-        assert!(!looks_like_base64("Zg==", 16)); // too short
     }
 }

@@ -216,11 +216,10 @@ fn orchestrator_kill_points_resume_byte_identical() {
     // Under the orchestrator a shard persists the moment the reducer folds
     // that shard's last site, so which shard the kill plan dooms selects
     // *when* in the pipeline's life the process dies: the first-persisted
-    // shard dies while workers are still crawling (and stealing) later
-    // positions; a middle shard dies with the hand-off queue churning; the
-    // last-persisted shard dies after the queue has drained. A depth-1
-    // queue and a tiny admission window keep backpressure and unclaim
-    // retries live at the kill instant.
+    // shard dies while workers are still crawling later positions; a
+    // middle shard dies with results still arriving in the ring; the
+    // last-persisted shard dies at the last fold. A depth-1 queue keeps
+    // the window tight, so workers are parked on it at the kill instant.
     let baseline = snapshot_json(&Study::run(&config(2)));
     let shards = 3usize;
     let cfg = StudyConfig {
@@ -229,9 +228,9 @@ fn orchestrator_kill_points_resume_byte_identical() {
         ..config(4)
     };
     // With sites dealt `i % shards`, shard `s` finishes at position
-    // `33 + s`: shard 0 persists first (mid-steal), shard 2 last
-    // (queue drained).
-    for (phase, doomed) in [("mid-steal", 0u32), ("mid-merge", 1), ("queue-drained", 2)] {
+    // `33 + s`: shard 0 persists first (mid-crawl), shard 2 last
+    // (last fold).
+    for (phase, doomed) in [("mid-crawl", 0u32), ("mid-merge", 1), ("last-fold", 2)] {
         let dir = tmpdir(&format!("orch-{phase}"));
         let kill = KillPlan {
             era: 1,

@@ -62,7 +62,7 @@ fn snapshot_json(study: &Study) -> String {
 #[test]
 fn sharded_study_is_byte_identical_across_thread_counts() {
     // threads sets the orchestrator's worker count, so this exercises 1,
-    // 4, and 8 workers stealing from each other.
+    // 4, and 8 workers claiming sites from one shared counter.
     let baseline = snapshot_json(&run(42, 1));
     for threads in [4, 8] {
         assert_eq!(

@@ -1,9 +1,9 @@
-//! Orchestrator identity: the work-stealing pipelined crawl driver must be
+//! Orchestrator identity: the ordered-ticket pipelined crawl driver must be
 //! **scheduling invisible** — byte-identical study snapshots to the serial
 //! record-materializing reference oracle (`support::run_reference`), at
 //! every worker count, every queue depth, with and without fault
-//! injection, and under a seeded adversarial scheduler that maximizes
-//! steals and backpressure stalls.
+//! injection, and under a seeded adversarial scheduler that permutes
+//! completion order and maximizes backpressure stalls.
 //!
 //! The fault-free matrix additionally pins the snapshot to the same CRC as
 //! `snapshot_regression.rs`/`stream_identity.rs`, so the matrix can never
@@ -102,11 +102,11 @@ fn orchestrated_matches_the_record_materializing_reference() {
 
 #[test]
 fn adversarial_steal_and_backpressure_schedules_cannot_move_a_byte() {
-    // Era-level stress: a seeded chaos schedule flips workers to
-    // steal-first and injects yields between claim and admission, while a
-    // depth-1 queue and the tightest admission window maximize
-    // backpressure stalls and unclaim/retry churn. Every schedule must
-    // reduce to the very bytes the reference oracle produces.
+    // Era-level stress: a seeded chaos schedule injects yields between
+    // claim and admission and before each hand-in, permuting completion
+    // order, while a depth-1 queue and the tightest window keep workers
+    // parked on the fold point. Every schedule must reduce to the very
+    // bytes the reference oracle produces.
     let config = StudyConfig {
         seed: 0xD15C,
         n_sites: 60,

@@ -5,10 +5,10 @@
 //! *retained* (the accumulated [`CrawlReduction`]) necessarily grows with
 //! the site count, but the orchestrator's *transient* headroom — peak live
 //! bytes beyond what the stage retains — is bounded by the scheduling
-//! state (workers × browser + queue depth × one site reduction + the
-//! admission window), none of which scales with the universe. A leak of
-//! per-site state into the queue, the reorder buffer, or the worker sinks
-//! shows up here as headroom growing with the site count.
+//! state (workers × browser + the in-flight cap × one site reduction in
+//! the ticket ring), none of which scales with the universe. A leak of
+//! per-site state into the ring or the worker sinks shows up here as
+//! headroom growing with the site count.
 //!
 //! Scales stay small so the tier-1 debug run remains fast; set
 //! `SOCKSCOPE_MEM_SCALE=8` (or higher) to stress paper-flavored sizes.

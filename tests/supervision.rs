@@ -2,7 +2,7 @@
 //!
 //! The tentpole invariant: a seeded run where ~20% of sites are poisoned
 //! with mixed `PanicAt`/`HangAt`/`AllocBomb` hazards **completes** on
-//! every worker count × queue depth × steal schedule of the identity
+//! every worker count × queue depth × chaos schedule of the identity
 //! matrix, produces the *identical* quarantine set on every cell, and
 //! leaves the non-quarantined remainder byte-for-byte what those sites
 //! contribute to the fault-free run — the run `orchestrator_identity.rs`
@@ -97,10 +97,9 @@ fn poisoned_matrix_yields_one_quarantine_set_and_one_snapshot() {
 
 #[test]
 fn adversarial_steal_schedules_cannot_move_a_quarantine_entry() {
-    // Era-level: a depth-1 queue, the tightest admission window, and
-    // seeded chaos schedules maximize steals, unclaim churn, and
-    // backpressure stalls *while* one site in five is dying under the
-    // supervisor. Quarantine decisions are per-site pure draws, so no
+    // Era-level: a depth-1 queue, the tightest window, and seeded chaos
+    // schedules maximize out-of-order completions and window-full stalls
+    // *while* one site in five is dying under the supervisor. Quarantine decisions are per-site pure draws, so no
     // schedule may move one.
     let config = poisoned_config();
     let web = Study::universe(&config);
